@@ -3,7 +3,7 @@ point sets, computed two independent ways: by staircase induction with
 interpolation lifting, and by rank-driven Buchberger-Moller discovery.
 """
 
-from .bm import bm_gb, bm_staircase, rank_is_maximal, separating_polynomials
+from .bm import bm_gb, bm_staircase, separating_polynomials
 from .core import (
     DuplicatePointError,
     GroebnerBasis,
@@ -55,7 +55,6 @@ __all__ = [
     "is_prime",
     "lex_compare",
     "normal_form",
-    "rank_is_maximal",
     "s_polynomial",
     "separating_polynomials",
     "slice_decompose",

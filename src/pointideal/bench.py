@@ -105,8 +105,9 @@ class BenchResult:
             )
         return out
 
-    def slopes(self) -> dict[str, float]:
-        """Fitted log-log slope of median runtime against instance size."""
+    def slopes(self) -> dict[str, float | None]:
+        """Fitted log-log slope of median runtime against instance size;
+        None when fewer than two distinct sizes were run."""
         out = {}
         for name, attr in (("staircase", "staircase_seconds"), ("bm", "bm_seconds")):
             med = self.medians(attr)
@@ -145,15 +146,21 @@ class BenchResult:
                 f"{size:>6} {med_s[size]:>14.6f} {med_b[size]:>14.6f} "
                 f"{'yes' if ok else 'NO':>6}"
             )
-        slopes = self.slopes()
+        slopes = {
+            name: "n/a" if slope is None else f"{slope:.3f}"
+            for name, slope in self.slopes().items()
+        }
         lines.append(
-            f"log-log slope: staircase {slopes['staircase']:.3f}, bm {slopes['bm']:.3f}"
+            f"log-log slope: staircase {slopes['staircase']}, bm {slopes['bm']}"
         )
         return lines
 
 
-def fit_slope(xs, ys) -> float:
-    """Least-squares slope of ys against xs."""
+def fit_slope(xs, ys) -> float | None:
+    """Least-squares slope of ys against xs; None when the xs do not
+    take at least two distinct values, since no line is determined."""
+    if len(set(xs)) < 2:
+        return None
     n = len(xs)
     mx = sum(xs) / n
     my = sum(ys) / n

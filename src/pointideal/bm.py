@@ -70,26 +70,6 @@ class _Echelon:
         return len(self.rows)
 
 
-def rank_is_maximal(field, rows) -> bool:
-    """True when the rows are linearly independent (rank = row count).
-    Requires at most as many rows as columns."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return True
-    width = len(rows[0])
-    if len(rows) > width:
-        raise ValueError(f"{len(rows)} rows exceed {width} columns")
-    ech = _Echelon(field, width)
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("ragged matrix")
-        reduced, pivot = ech.reduce(row)
-        if pivot is None:
-            return False
-        ech.insert(reduced, pivot)
-    return True
-
-
 def _discover(ps: PointSet) -> tuple[Staircase, int]:
     """Rank-driven staircase discovery; also returns the number of rank
     tests performed.

@@ -84,10 +84,6 @@ class PointSet:
     def __repr__(self):
         return f"PointSet(n={self.n}, {list(self.points)})"
 
-    def first_coordinate_values(self) -> list:
-        """Distinct first coordinates, ascending."""
-        return sorted({pt[0] for pt in self.points})
-
 
 def slice_decompose(ps: PointSet) -> list[tuple[object, PointSet]]:
     """Group the points by first coordinate; each slice is re-expressed in
@@ -225,9 +221,11 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
     variables: recurse into the slices, lift one element per corner of
     the stacked staircase, and reduce each lift by the elements already
     finished (corners are processed in increasing lex order, so the
-    reduction never needs a later element).  A final pass re-derives each
-    element from its corner monomial against the full basis, pinning
-    every tail inside the staircase.
+    reduction never needs a later element).  Each reduced lift is
+    already the final element: its leading exponent is the corner and
+    every tail exponent lies inside the staircase, which the two
+    assertions below enforce, so it equals the corner monomial minus its
+    normal form against the finished basis.
     """
     fld = ps.field
     if not ps.points:
@@ -250,9 +248,4 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
                 f"tail exponents {stray} escaped the staircase at corner {corner}"
             )
         built.append(f)
-    reduced = tuple(
-        Polynomial.monomial(fld, ps.n, corner)
-        - normal_form(Polynomial.monomial(fld, ps.n, corner), built)
-        for corner in stairs.sorted_corners()
-    )
-    return GroebnerBasis(stairs, reduced)
+    return GroebnerBasis(stairs, tuple(built))

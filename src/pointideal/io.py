@@ -37,30 +37,48 @@ def field_to_dict(field) -> dict:
     raise TypeError(f"unknown field {field!r}")
 
 
+def _expect_object(obj, where: str, keys=()) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected an object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where}: missing key {key!r}")
+    return obj
+
+
+def _expect_list(obj, where: str) -> list:
+    if not isinstance(obj, list):
+        raise ValueError(f"{where}: expected a list")
+    return obj
+
+
+def _exponent(obj, where: str) -> tuple:
+    if not isinstance(obj, list) or not all(type(x) is int for x in obj):
+        raise ValueError(f"{where}: expected a list of integers")
+    return tuple(obj)
+
+
 def field_from_dict(obj) -> object:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError("field: expected an object with a 'type' key")
-    kind = obj["type"]
+    kind = _expect_object(obj, "field", ("type",))["type"]
     if kind == "rational":
         return QQ
     if kind == "prime":
-        if "p" not in obj:
-            raise ValueError("field: prime field needs a 'p' value")
-        return PrimeField(obj["p"])
+        p = _expect_object(obj, "field", ("p",))["p"]
+        if type(p) is not int:
+            raise ValueError(f"field.p: expected an integer, got {p!r}")
+        return PrimeField(p)
     raise ValueError(f"field: unknown type {kind!r}")
 
 
 def pointset_from_dict(obj) -> PointSet:
-    for key in ("field", "dimension", "points"):
-        if key not in obj:
-            raise ValueError(f"point set: missing key {key!r}")
+    _expect_object(obj, "point set", ("field", "dimension", "points"))
     fld = field_from_dict(obj["field"])
     n = obj["dimension"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"dimension: expected a positive integer, got {n!r}")
     points = []
-    for i, raw in enumerate(obj["points"]):
-        if len(raw) != n:
+    for i, raw in enumerate(_expect_list(obj["points"], "points")):
+        if len(_expect_list(raw, f"points[{i}]")) != n:
             raise ValueError(f"points[{i}]: expected {n} coordinates, got {len(raw)}")
         coords = []
         for j, text in enumerate(raw):
@@ -109,29 +127,45 @@ def basis_to_dict(gb: GroebnerBasis) -> dict:
 
 
 def basis_from_dict(obj, field) -> GroebnerBasis:
-    for key in ("staircase", "basis"):
-        if key not in obj:
-            raise ValueError(f"basis: missing key {key!r}")
-    cells = [tuple(c) for c in obj["staircase"]]
+    _expect_object(obj, "basis", ("staircase", "basis"))
+    cells = [
+        _exponent(c, f"staircase[{i}]")
+        for i, c in enumerate(_expect_list(obj["staircase"], "staircase"))
+    ]
+    raw_elements = []
+    for i, raw in enumerate(_expect_list(obj["basis"], "basis")):
+        where = f"basis[{i}]"
+        _expect_object(raw, where, ("leading", "terms"))
+        leading = _exponent(raw["leading"], f"{where}.leading")
+        terms = []
+        for j, t in enumerate(_expect_list(raw["terms"], f"{where}.terms")):
+            at = f"{where}.terms[{j}]"
+            _expect_object(t, at, ("exp", "coeff"))
+            if not isinstance(t["coeff"], str):
+                raise ValueError(f"{at}.coeff: expected a string")
+            terms.append((_exponent(t["exp"], f"{at}.exp"), t["coeff"]))
+        raw_elements.append((leading, terms))
     dims = {len(c) for c in cells} | {
-        len(t["exp"]) for f in obj["basis"] for t in f["terms"]
+        len(e) for _, terms in raw_elements for e, _ in terms
     }
     if len(dims) != 1:
         raise ValueError(f"basis: inconsistent exponent dimensions {sorted(dims)}")
     n = dims.pop()
     stairs = Staircase(n, cells)
     elements = []
-    for i, raw in enumerate(obj["basis"]):
+    for i, (leading, raw_terms) in enumerate(raw_elements):
         terms = {}
-        for t in raw["terms"]:
-            exp = tuple(t["exp"])
+        for exp, text in raw_terms:
             if exp in terms:
                 raise ValueError(f"basis[{i}]: duplicate exponent {exp}")
-            terms[exp] = field.parse(t["coeff"])
+            try:
+                terms[exp] = field.parse(text)
+            except ValueError as exc:
+                raise ValueError(f"basis[{i}]: {exc}") from exc
         f = Polynomial(field, n, terms)
-        if f.is_zero or list(f.leading_exponent()) != list(raw["leading"]):
+        if f.is_zero or f.leading_exponent() != leading:
             raise ValueError(
-                f"basis[{i}]: declared leading exponent {raw['leading']} "
+                f"basis[{i}]: declared leading exponent {list(leading)} "
                 f"does not lead the terms"
             )
         elements.append(f)

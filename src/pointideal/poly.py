@@ -13,6 +13,7 @@ ordered descending, so the leading term is always the first one.
 from __future__ import annotations
 
 import heapq
+from operator import add as add_, le as le_, neg, sub as sub_
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
@@ -29,10 +30,6 @@ def lex_compare(a: Exponent, b: Exponent) -> int:
         raise ValueError(f"exponent dimensions differ: {len(a)} vs {len(b)}")
     ka, kb = a[::-1], b[::-1]
     return (ka > kb) - (ka < kb)
-
-
-def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def exp_sub(a: Exponent, b: Exponent) -> Exponent:
@@ -249,7 +246,7 @@ class Polynomial:
 
 def _heap_key(e: Exponent):
     # min-heap on this key pops the lex-greatest exponent first
-    return tuple(-x for x in reversed(e))
+    return tuple(map(neg, reversed(e)))
 
 
 def _check_reducers(basis):
@@ -271,40 +268,45 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     whose leading exponent divides the term.  The result has no term
     divisible by any basis leading exponent, and f minus the result lies
     in the ideal generated by the basis.
+
+    Every term a reduction step adds is lex-smaller than the term it
+    cancels (the lex order is compatible with multiplication), so the
+    exponents taken off the heap never increase and a term, once taken
+    off, never returns.  A heap entry whose exponent is no longer in the
+    working set is therefore stale, and is skipped.
     """
     basis = list(basis)
     _check_reducers(basis)
     for b in basis:
         f._check_compatible(b)
     reducers = sorted(
-        ((b.leading_exponent(), b) for b in basis), key=lambda kv: lex_key(kv[0])
+        ((b.leading_exponent(), list(b.terms.items())[1:]) for b in basis),
+        key=lambda kv: lex_key(kv[0]),
     )
     fld = f.field
     zero, sub, mul = fld.zero, fld.sub, fld.mul
     work = dict(f.terms)
     heap = [(_heap_key(e), e) for e in work]
     heapq.heapify(heap)
-    done: set[Exponent] = set()
+    heappop, heappush = heapq.heappop, heapq.heappush
     remainder: dict[Exponent, object] = {}
     while heap:
-        _, e = heapq.heappop(heap)
-        if e in done or e not in work:
+        e = heappop(heap)[1]
+        if e not in work:
             continue
-        done.add(e)
         c = work.pop(e)
-        for le, b in reducers:
-            if exp_divides(le, e):
-                shift = tuple(x - y for x, y in zip(e, le))
-                tail_items = iter(b.terms.items())
-                next(tail_items)  # leading term cancels c exactly (b is monic)
-                for te, tc in tail_items:
-                    ne = tuple(x + y for x, y in zip(te, shift))
+        for le, tail in reducers:
+            if all(map(le_, le, e)):
+                # the leading term cancels c exactly (the reducer is monic)
+                shift = tuple(map(sub_, e, le))
+                for te, tc in tail:
+                    ne = tuple(map(add_, te, shift))
                     nv = sub(work.get(ne, zero), mul(c, tc))
                     if nv == zero:
                         work.pop(ne, None)
                     else:
                         if ne not in work:
-                            heapq.heappush(heap, (_heap_key(ne), ne))
+                            heappush(heap, (_heap_key(ne), ne))
                         work[ne] = nv
                 break
         else:
@@ -313,7 +315,9 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S(f, g) = X^(lcm - lt f) * f - X^(lcm - lt g) * g for monic f, g."""
+    """S(f, g) = X^(lcm - lt f) * f - X^(lcm - lt g) * g for monic f, g.
+    Multiplying by a monomial only shifts exponents, so both shifted
+    polynomials are accumulated in one dict; the leading terms cancel."""
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomial of zero is undefined")
     if not (f.is_monic() and g.is_monic()):
@@ -321,6 +325,11 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     f._check_compatible(g)
     lf, lg = f.leading_exponent(), g.leading_exponent()
     lcm = exp_lcm(lf, lg)
-    mf = Polynomial.monomial(f.field, f.n, exp_sub(lcm, lf))
-    mg = Polynomial.monomial(g.field, g.n, exp_sub(lcm, lg))
-    return mf * f - mg * g
+    shift_f, shift_g = exp_sub(lcm, lf), exp_sub(lcm, lg)
+    fld = f.field
+    zero, sub = fld.zero, fld.sub
+    terms = {tuple(map(add_, e, shift_f)): c for e, c in f.terms.items()}
+    for e, c in g.terms.items():
+        e = tuple(map(add_, e, shift_g))
+        terms[e] = sub(terms.get(e, zero), c)
+    return Polynomial(fld, f.n, terms)

@@ -50,18 +50,36 @@ class VerificationReport:
 
 
 def check_vanishing(gb: GroebnerBasis, ps: PointSet) -> CheckResult:
-    """Every element evaluates to zero at every point."""
+    """Every element evaluates to zero at every point.
+
+    Each point gets one table of coordinate powers, up to the largest
+    exponent of that coordinate in the basis, shared by all elements.
+    Elements are tried in order and, for each, the points in order, so
+    the witness is the first failing (element, point) pair."""
     for f in gb.elements:
         if f.n != ps.n:
             raise ValueError("basis and points have different dimensions")
         if f.field != ps.field:
             raise ValueError("basis and points have different fields")
-        for pt in ps.points:
-            value = f.evaluate(pt)
-            if value != ps.field.zero:
+    fld = ps.field
+    zero, add, mul = fld.zero, fld.add, fld.mul
+    top = [max(k) for k in zip(*(e for f in gb.elements for e in f.terms))]
+    tables = [
+        [[fld.pow(a, k) for k in range(kmax + 1)] for a, kmax in zip(pt, top)]
+        for pt in ps.points
+    ]
+    for f in gb.elements:
+        for pt, table in zip(ps.points, tables):
+            value = zero
+            for e, c in f.terms.items():
+                for powers, k in zip(table, e):
+                    if k:
+                        c = mul(c, powers[k])
+                value = add(value, c)
+            if value != zero:
                 witness = (
                     f"element with leading exponent {f.leading_exponent()} "
-                    f"evaluates to {ps.field.format(value)} at {pt}"
+                    f"evaluates to {fld.format(value)} at {pt}"
                 )
                 return CheckResult("vanishing", False, witness)
     return CheckResult("vanishing", True)
