@@ -3,7 +3,7 @@ point sets, computed two independent ways: by staircase induction with
 interpolation lifting, and by rank-driven Buchberger-Moller discovery.
 """
 
-from .bm import bm_gb, bm_staircase, separating_polynomials
+from .bm import bm_gb, bm_staircase
 from .core import (
     DuplicatePointError,
     GroebnerBasis,
@@ -56,7 +56,6 @@ __all__ = [
     "lex_compare",
     "normal_form",
     "s_polynomial",
-    "separating_polynomials",
     "slice_decompose",
     "slice_representative",
     "staircase_gb",

@@ -44,6 +44,12 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _write_output(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -175,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_be.add_argument("--seed", type=int, required=True)
     p_be.add_argument("--sizes", type=_parse_sizes, default=(64, 128, 256))
     p_be.add_argument("--field", type=_parse_field, default=PrimeField(7919))
-    p_be.add_argument("--dim", type=int, default=2)
-    p_be.add_argument("--trials", type=int, default=5)
+    p_be.add_argument("--dim", type=_positive_int, default=2)
+    p_be.add_argument("--trials", type=_positive_int, default=5)
     p_be.add_argument("--out", help="write the deterministic results as JSON")
     p_be.set_defaults(func=_cmd_bench)
 

@@ -174,24 +174,23 @@ def split_first_coordinates(beta: Exponent, slice_gbs) -> tuple[list, list]:
     return inside, outside
 
 
-def build_phi(field, beta: Exponent, slice_gbs) -> Polynomial:
+def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial:
     """The interpolation-lifted element of the ideal for a corner beta.
 
     slice_gbs is the ordered list of (first coordinate, basis of the
-    slice ideal) pairs.  Coefficients of the slice representatives are
-    interpolated across the slices whose staircase misses the projected
-    corner; the lift is then multiplied by (X1 - a1) over the remaining
-    slices.  The result has leading exponent beta and vanishes on every
-    point of the set.
+    slice ideal) pairs, and stairs is the staircase they stack into, of
+    which beta must be a corner.  Coefficients of the slice
+    representatives are interpolated across the slices whose staircase
+    misses the projected corner; the lift is then multiplied by
+    (X1 - a1) over the remaining slices.  The result has leading
+    exponent beta and vanishes on every point of the set.
     """
     beta = tuple(beta)
     n = len(beta)
     if n < 2:
         raise ValueError("the lifted construction needs dimension >= 2")
     beta_hat = beta[1:]
-    blocks = [gb.staircase.prepend_zero() for _, gb in slice_gbs]
-    total = staircase_sum(blocks, n)
-    if beta not in total.corners():
+    if beta not in stairs.corners():
         raise ValueError(f"{beta} is not a corner of the staircase")
     inside, outside = split_first_coordinates(beta, slice_gbs)
     gb_of = dict(slice_gbs)
@@ -239,7 +238,7 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
     )
     built: list[Polynomial] = []
     for corner in stairs.sorted_corners():
-        f = normal_form(build_phi(fld, corner, slice_gbs), built)
+        f = normal_form(build_phi(fld, corner, slice_gbs, stairs), built)
         if f.is_zero or f.leading_exponent() != corner:
             raise AssertionError(f"reduced lift lost its leading exponent {corner}")
         stray = [e for e in f.tail().terms if e not in stairs.cells]

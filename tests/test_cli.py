@@ -29,6 +29,15 @@ def test_bench_with_one_size_reports_no_slope(capsys):
     assert fit_slope([2.0, 2.0], [1.0, 3.0]) is None
 
 
+@pytest.mark.parametrize("option, value", [("--dim", "0"), ("--trials", "0"), ("--trials", "-1")])
+def test_bench_rejects_a_nonpositive_count_up_front(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--seed", "1", "--sizes", "8", option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: expected a positive integer, got '{value}'" in err
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

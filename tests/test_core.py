@@ -128,11 +128,15 @@ def slice_bases(ps):
 
 class TestBuildPhi:
     def test_pure_power_corner(self, example_a_prime):
-        phi = build_phi(QQ, (3, 0), slice_bases(example_a_prime))
+        phi = build_phi(
+            QQ, (3, 0), slice_bases(example_a_prime), compute_staircase(example_a_prime)
+        )
         assert phi == qpoly({(3, 0): 1, (2, 0): -6, (1, 0): 11, (0, 0): -6})
 
     def test_mixed_corner(self, example_a_prime):
-        phi = build_phi(QQ, (2, 1), slice_bases(example_a_prime))
+        phi = build_phi(
+            QQ, (2, 1), slice_bases(example_a_prime), compute_staircase(example_a_prime)
+        )
         x1 = Polynomial.variable(QQ, 2, 1)
         x2 = Polynomial.variable(QQ, 2, 2)
         one = Polynomial.one(QQ, 2)
@@ -141,7 +145,9 @@ class TestBuildPhi:
     def test_interpolated_corner(self, example_a_prime):
         # assemble the same polynomial by hand: interpolate the three
         # slice representatives with characteristic polynomials in X1
-        phi = build_phi(QQ, (0, 2), slice_bases(example_a_prime))
+        phi = build_phi(
+            QQ, (0, 2), slice_bases(example_a_prime), compute_staircase(example_a_prime)
+        )
         g = qpoly({(2,): 1, (1,): -2}, n=1)
         h = qpoly({(2,): 1, (1,): -5, (0,): 4}, n=1)
         i = qpoly({(2,): 1, (0,): -9}, n=1)
@@ -163,12 +169,15 @@ class TestBuildPhi:
 
     def test_non_corner_rejected(self, example_a_prime):
         with pytest.raises(ValueError, match="corner"):
-            build_phi(QQ, (1, 1), slice_bases(example_a_prime))
+            build_phi(
+                QQ, (1, 1), slice_bases(example_a_prime), compute_staircase(example_a_prime)
+            )
 
     def test_vanishes_on_all_points(self, example_a_prime):
         bases = slice_bases(example_a_prime)
-        for corner in compute_staircase(example_a_prime).sorted_corners():
-            phi = build_phi(QQ, corner, bases)
+        stairs = compute_staircase(example_a_prime)
+        for corner in stairs.sorted_corners():
+            phi = build_phi(QQ, corner, bases, stairs)
             assert phi.is_monic()
             assert phi.leading_exponent() == corner
             for pt in example_a_prime:
@@ -194,7 +203,9 @@ class TestStaircaseGb:
         # lift's own coefficient at the earlier corner times that element
         gb = staircase_gb(example_a_prime)
         by_corner = gb.by_corner()
-        phi = build_phi(QQ, (0, 2), slice_bases(example_a_prime))
+        phi = build_phi(
+            QQ, (0, 2), slice_bases(example_a_prime), compute_staircase(example_a_prime)
+        )
         c = phi.coefficient((2, 1))
         assert c == F(-7, 2)
         assert by_corner[(0, 2)] == phi - c * by_corner[(2, 1)]
