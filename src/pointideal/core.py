@@ -143,9 +143,6 @@ class GroebnerBasis:
     def field(self):
         return self.elements[0].field
 
-    def by_corner(self) -> dict[Exponent, Polynomial]:
-        return {f.leading_exponent(): f for f in self.elements}
-
     def quotient_dimension(self) -> int:
         """Vector-space dimension of the quotient ring: one monomial per
         staircase cell."""

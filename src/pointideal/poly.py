@@ -196,18 +196,6 @@ class Polynomial:
             total = f.add(total, v)
         return total
 
-    # -- variable embedding ------------------------------------------------
-
-    def prepend_variables(self, k: int) -> "Polynomial":
-        """View in k more variables inserted before X1 (exponents padded left)."""
-        pad = (0,) * k
-        return Polynomial(self.field, self.n + k, {pad + e: c for e, c in self.terms.items()})
-
-    def append_variables(self, k: int) -> "Polynomial":
-        """View in k more variables appended after Xn (exponents padded right)."""
-        pad = (0,) * k
-        return Polynomial(self.field, self.n + k, {e + pad: c for e, c in self.terms.items()})
-
     # -- comparison / display ----------------------------------------------
 
     def __eq__(self, other):

@@ -117,18 +117,6 @@ class Staircase:
         """Embed into one more dimension as {(0,) + d}."""
         return Staircase(self.n + 1, {(0,) + c for c in self.cells})
 
-    def append_zero(self) -> "Staircase":
-        """Embed into one more dimension as {d + (0,)}."""
-        return Staircase(self.n + 1, {c + (0,) for c in self.cells})
-
-    def drop_last(self) -> "Staircase":
-        """Inverse of append_zero; requires every last coordinate zero."""
-        if self.n < 2:
-            raise ValueError("cannot drop below dimension 1")
-        if any(c[-1] for c in self.cells):
-            raise ValueError("a cell has nonzero last coordinate")
-        return Staircase(self.n - 1, {c[:-1] for c in self.cells})
-
     def __add__(self, other):
         if not isinstance(other, Staircase):
             return NotImplemented

@@ -1,8 +1,10 @@
 """Straightforward versions of the exact kernels, kept as references.
 
-The package's `normal_form` and `check_vanishing` are tuned for speed;
-these are the plain forms they replaced.  Tests require the tuned
-versions to return the same results, witnesses included.
+The package's `normal_form`, `check_vanishing` and `check_buchberger`
+are tuned for speed; these are the plain forms they replaced.  Tests
+require the tuned versions to return the same results: witnesses
+included for the first two, the same verdict for the S-pair check,
+which reduces fewer pairs.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import heapq
 
 from pointideal import Polynomial
-from pointideal.poly import exp_divides, lex_key
+from pointideal.poly import exp_divides, lex_key, normal_form, s_polynomial
 from pointideal.verify import CheckResult
 
 
@@ -71,3 +73,26 @@ def reference_check_vanishing(gb, ps) -> CheckResult:
                 )
                 return CheckResult("vanishing", False, witness)
     return CheckResult("vanishing", True)
+
+
+def reference_check_buchberger(gb) -> CheckResult:
+    """All S-polynomials reduce to zero against the basis.  Runs every
+    pair; this is the oracle of last resort, so no pair is skipped."""
+    elems = gb.elements
+    leading = set()
+    for f in elems:
+        if f.is_zero or not f.is_monic():
+            return CheckResult("buchberger", False, "non-monic element cannot reduce")
+        leading.add(f.leading_exponent())
+    if len(leading) != len(elems):
+        return CheckResult("buchberger", False, "duplicate leading exponents")
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            s = s_polynomial(elems[i], elems[j])
+            if not normal_form(s, elems).is_zero:
+                witness = (
+                    f"S-polynomial of the pair {elems[i].leading_exponent()}, "
+                    f"{elems[j].leading_exponent()} does not reduce to zero"
+                )
+                return CheckResult("buchberger", False, witness)
+    return CheckResult("buchberger", True)

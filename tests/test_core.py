@@ -154,8 +154,9 @@ class TestBuildPhi:
         nodes = [F(1), F(2), F(3)]
         expected = Polynomial(QQ, 2)
         for node, rep in [(F(1), g), (F(2), i), (F(3), h)]:
-            chi = char_poly(QQ, nodes, node).append_variables(1)
-            expected = expected + chi * rep.prepend_variables(1)
+            chi = {e + (0,): c for e, c in char_poly(QQ, nodes, node).terms.items()}
+            lifted = {(0,) + e: c for e, c in rep.terms.items()}
+            expected = expected + Polynomial(QQ, 2, chi) * Polynomial(QQ, 2, lifted)
         assert phi == expected
 
     def test_split_sizes_match_corner_coordinates(self, example_a_prime):
@@ -202,7 +203,7 @@ class TestStaircaseGb:
         # the interpolated lift differs from the finished element by the
         # lift's own coefficient at the earlier corner times that element
         gb = staircase_gb(example_a_prime)
-        by_corner = gb.by_corner()
+        by_corner = {f.leading_exponent(): f for f in gb.elements}
         phi = build_phi(
             QQ, (0, 2), slice_bases(example_a_prime), compute_staircase(example_a_prime)
         )

@@ -1,23 +1,35 @@
 """The exact kernels pinned to their reference forms, and the two engines
 checked against each other and the certificate."""
 
+from itertools import combinations, product
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pointideal import (
     GroebnerBasis,
+    PointSet,
     Polynomial,
+    PrimeField,
     QQ,
+    Staircase,
     bm_gb,
+    check_buchberger,
     check_vanishing,
     normal_form,
     s_polynomial,
     staircase_gb,
+    verify,
     verify_basis,
 )
 from pointideal.poly import exp_lcm, exp_sub, lex_key
 
-from reference import reference_check_vanishing, reference_normal_form
+from reference import (
+    reference_check_buchberger,
+    reference_check_vanishing,
+    reference_normal_form,
+)
 from strategies import F7, F13, exponents, pointsets, polynomials, prime_scalars, rationals
 
 FIELDS = st.sampled_from([QQ, F7])
@@ -29,11 +41,13 @@ def nonzero_scalars(field):
 
 
 @st.composite
-def monic_bases(draw, field, n, cap=3):
+def monic_bases(draw, field, n, cap=3, max_size=4):
     """Monic polynomials with distinct leading exponents and arbitrary
     lex-smaller tails: usually not a Groebner basis, so the reducer rule
     decides the remainder."""
-    leads = draw(st.lists(exponents(n, cap), min_size=1, max_size=4, unique=True))
+    leads = draw(
+        st.lists(exponents(n, cap), min_size=1, max_size=max_size, unique=True)
+    )
     basis = []
     for le in leads:
         tail = draw(st.dictionaries(exponents(n, cap), nonzero_scalars(field), max_size=3))
@@ -123,3 +137,119 @@ def test_engines_agree_and_the_certificate_passes(ps):
         "buchberger",
         "dimension",
     ]
+
+
+@st.composite
+def engine_mutants(draw):
+    """A point set and its engine basis with one change: a coefficient
+    changed, an element dropped, or a tail term added inside the staircase."""
+    ps = draw(pointsets(fields=(QQ, F7, F13), max_size=12))
+    gb = staircase_gb(ps)
+    elements = list(gb.elements)
+    fld = ps.field
+    i = draw(st.integers(0, len(elements) - 1))
+    kind = draw(st.sampled_from(["coefficient", "drop", "tail"]))
+    if kind == "drop":
+        del elements[i]
+    else:
+        terms = dict(elements[i].terms)
+        if kind == "coefficient":
+            spots = sorted(terms, key=lex_key)
+        else:
+            below = lex_key(elements[i].leading_exponent())
+            spots = sorted(
+                (e for e in gb.staircase.cells if e not in terms and lex_key(e) < below),
+                key=lex_key,
+            )
+            assume(spots)
+        e = draw(st.sampled_from(spots))
+        terms[e] = fld.add(terms.get(e, fld.zero), draw(nonzero_scalars(fld)))
+        elements[i] = Polynomial(fld, ps.n, terms)
+        assume(not elements[i].is_zero)
+    return ps, GroebnerBasis(gb.staircase, tuple(elements))
+
+
+@st.composite
+def random_monic_sets(draw):
+    field = draw(FIELDS)
+    n = draw(st.integers(1, 3))
+    basis = draw(monic_bases(field, n, cap=2, max_size=7))
+    return GroebnerBasis(Staircase(n), tuple(basis))
+
+
+def named_pair(gb, witness):
+    """The pair of elements a failing S-pair witness names, if any."""
+    for f, g in combinations(gb.elements, 2):
+        pair = f"{f.leading_exponent()}, {g.leading_exponent()}"
+        if witness == f"S-polynomial of the pair {pair} does not reduce to zero":
+            return f, g
+    return None
+
+
+def assert_same_verdict(gb):
+    ours, reference = check_buchberger(gb), reference_check_buchberger(gb)
+    assert ours.passed == reference.passed
+    if not ours.passed:
+        pair = named_pair(gb, ours.witness)
+        if pair is None:
+            assert ours == reference
+        else:
+            assert not normal_form(s_polynomial(*pair), gb.elements).is_zero
+
+
+@given(engine_mutants())
+@settings(max_examples=200)
+def test_check_buchberger_matches_the_all_pairs_reference_on_mutants(mutant):
+    _, gb = mutant
+    assert_same_verdict(gb)
+
+
+@given(random_monic_sets())
+@settings(max_examples=200)
+def test_check_buchberger_matches_the_all_pairs_reference_on_monic_sets(gb):
+    assert_same_verdict(gb)
+
+
+@given(engine_mutants())
+def test_mutants_fail_and_s_pair_failures_fail_another_check(mutant):
+    """Every mutant is rejected, and one that fails the all-pairs S-pair
+    check also fails vanishing, reduced shape or dimension: the redundancy
+    the certificate's proof predicts."""
+    ps, gb = mutant
+    report = verify_basis(gb, ps)
+    assert not report.overall
+    if not reference_check_buchberger(gb).passed:
+        others = [c for c in report.checks if c.name != "buchberger"]
+        assert not all(c.passed for c in others)
+
+
+def s_pair_reductions(gb) -> tuple[int, bool]:
+    """How many S-polynomials `check_buchberger` reduces, and its verdict."""
+    calls = []
+    reduce = verify.normal_form
+
+    def counted(f, basis):
+        calls.append(f)
+        return reduce(f, basis)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "normal_form", counted)
+        passed = check_buchberger(gb).passed
+    return len(calls), passed
+
+
+def test_two_variable_grid_reduces_consecutive_corners_only():
+    gb = staircase_gb(PointSet(PrimeField(3), 2, product(range(3), repeat=2)))
+    assert s_pair_reductions(gb) == (len(gb.elements) - 1, True)
+
+
+@given(pointsets(fields=(QQ, F7, F13), max_n=2, max_size=12))
+def test_two_variable_bases_reduce_consecutive_corners_only(ps):
+    gb = staircase_gb(ps)
+    assert s_pair_reductions(gb) == (len(gb.elements) - 1, True)
+
+
+@given(st.one_of(engine_mutants().map(lambda m: m[1]), random_monic_sets()))
+def test_s_pair_reductions_never_exceed_the_pair_count(gb):
+    c = len(gb.elements)
+    assert s_pair_reductions(gb)[0] <= c * (c - 1) // 2

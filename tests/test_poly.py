@@ -178,19 +178,6 @@ class TestSPolynomial:
             s_polynomial(Polynomial(QQ, 2), poly({(1, 0): 1}))
 
 
-class TestEmbedding:
-    def test_prepend(self):
-        f = poly({(2, 1): 3, (0, 0): -1})
-        g = f.prepend_variables(1)
-        assert g.n == 3
-        assert g.terms == {(0, 2, 1): F(3), (0, 0, 0): F(-1)}
-
-    def test_append(self):
-        f = poly({(2, 1): 3})
-        g = f.append_variables(2)
-        assert g.terms == {(2, 1, 0, 0): F(3)}
-
-
 class TestDisplay:
     def test_canonical_text(self, example_a):
         second = staircase_gb(example_a).elements[1]

@@ -207,15 +207,6 @@ class TestEmbedding:
     def test_prepend_zero(self):
         assert COLUMN.prepend_zero() == Staircase(3, {(0, 0, 0), (0, 0, 1)})
 
-    def test_append_zero_roundtrip(self):
-        up = FIVE_CELLS.append_zero()
-        assert up.n == 3
-        assert up.drop_last() == FIVE_CELLS
-
-    def test_drop_last_requires_flat(self):
-        with pytest.raises(ValueError):
-            BLOCK_2X2.drop_last()
-
 
 class TestRender:
     def test_block(self):
