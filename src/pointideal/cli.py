@@ -28,7 +28,10 @@ def _parse_field(text: str):
     if text == "rational":
         return QQ
     if text.startswith("prime:"):
-        return PrimeField(int(text.split(":", 1)[1]))
+        try:
+            return PrimeField(int(text.split(":", 1)[1]))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad field {text!r}: {exc}") from exc
     raise argparse.ArgumentTypeError(
         f"unknown field {text!r}; use 'rational' or 'prime:P'"
     )
@@ -72,6 +75,19 @@ def _first_difference(a, b) -> str:
     return "no difference"
 
 
+def _run_both(ps):
+    """Run the staircase engine, then the oracle.  Returns the staircase
+    basis, the two engines' seconds, and the first difference between
+    the bases (None when they agree)."""
+    t0 = time.perf_counter()
+    ours = staircase_gb(ps)
+    t1 = time.perf_counter()
+    oracle = bm_gb(ps)
+    t2 = time.perf_counter()
+    difference = None if ours == oracle else _first_difference(ours, oracle)
+    return ours, (t1 - t0, t2 - t1), difference
+
+
 def _cmd_gb(args) -> int:
     ps = io.load_pointset(args.points)
     if args.method == "bm":
@@ -79,10 +95,9 @@ def _cmd_gb(args) -> int:
     elif args.method == "staircase":
         gb = staircase_gb(ps)
     else:
-        gb = staircase_gb(ps)
-        oracle = bm_gb(ps)
-        if gb != oracle:
-            print("method disagreement: " + _first_difference(gb, oracle), file=sys.stderr)
+        gb, _, difference = _run_both(ps)
+        if difference is not None:
+            print("method disagreement: " + difference, file=sys.stderr)
             return 1
     _write_output(io.canonical_dumps(io.basis_to_dict(gb)), args.out)
     return 0
@@ -116,16 +131,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    ps = io.load_pointset(args.points)
-    t0 = time.perf_counter()
-    ours = staircase_gb(ps)
-    t1 = time.perf_counter()
-    oracle = bm_gb(ps)
-    t2 = time.perf_counter()
-    print(f"staircase method: {t1 - t0:.6f} s")
-    print(f"bm method:        {t2 - t1:.6f} s")
-    if ours != oracle:
-        print(_first_difference(ours, oracle), file=sys.stderr)
+    ours, (t_staircase, t_bm), difference = _run_both(io.load_pointset(args.points))
+    print(f"staircase method: {t_staircase:.6f} s")
+    print(f"bm method:        {t_bm:.6f} s")
+    if difference is not None:
+        print(difference, file=sys.stderr)
         return 1
     print(f"bases agree ({len(ours.elements)} elements, dimension {ours.quotient_dimension()})")
     return 0

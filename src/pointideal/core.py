@@ -7,9 +7,9 @@ variable fewer, contributes a staircase, and these stack into the
 staircase of the whole set.  For every corner of that staircase a basis
 element is produced: representatives taken from the slice bases have
 their coefficients interpolated across slices by univariate
-characteristic polynomials in X1, the result is multiplied by the linear
-factors of the slices whose staircase already contains the corner's
-projection, and finally the lex-greatest-first division by the
+characteristic polynomials in X1, the result is multiplied by the
+vanishing polynomial in X1 of the slices whose staircase already contains
+the corner's projection, and finally the lex-greatest-first division by the
 previously finished elements reduces every tail into the staircase.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .interp import char_poly_family, univariate_vanishing
+from .interp import char_poly_family, univariate_vanishing, vanishing_coeffs
 from .poly import Exponent, Polynomial, lex_key, normal_form
 from .staircase import Staircase, staircase_sum
 
@@ -178,9 +178,11 @@ def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial
     slice ideal) pairs, and stairs is the staircase they stack into, of
     which beta must be a corner.  Coefficients of the slice
     representatives are interpolated across the slices whose staircase
-    misses the projected corner; the lift is then multiplied by
-    (X1 - a1) over the remaining slices.  The result has leading
-    exponent beta and vanishes on every point of the set.
+    misses the projected corner, with the characteristic polynomials in
+    X1 read as dense coefficient lists; the lift is then multiplied once
+    by the vanishing polynomial prod (X1 - a1) of the remaining slices,
+    whose staircase contains the projected corner.  The result has
+    leading exponent beta and vanishes on every point of the set.
     """
     beta = tuple(beta)
     n = len(beta)
@@ -195,19 +197,15 @@ def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial
     theta_terms: dict[Exponent, object] = {(0,) + beta_hat: field.one}
     for a1 in outside:
         rep_tail = slice_representative(beta_hat, gb_of[a1]).tail()
-        for (k,), c in chi[a1].terms.items():
+        for k, c in enumerate(chi[a1]):
+            if c == field.zero:
+                continue
             for gamma_hat, coeff in rep_tail.terms.items():
                 e = (k,) + gamma_hat
-                v = field.add(theta_terms.get(e, field.zero), field.mul(c, coeff))
-                if v == field.zero:
-                    theta_terms.pop(e, None)
-                else:
-                    theta_terms[e] = v
-    phi = Polynomial(field, n, theta_terms)
-    x1 = Polynomial.variable(field, n, 1)
-    for a1 in inside:
-        phi = phi * (x1 - Polynomial.constant(field, n, a1))
-    return phi
+                theta_terms[e] = field.add(theta_terms.get(e, field.zero), field.mul(c, coeff))
+    rest = (0,) * (n - 1)
+    vanishing = {(k,) + rest: c for k, c in enumerate(vanishing_coeffs(field, inside))}
+    return Polynomial(field, n, theta_terms) * Polynomial(field, n, vanishing)
 
 
 def staircase_gb(ps: PointSet) -> GroebnerBasis:

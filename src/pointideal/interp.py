@@ -5,8 +5,9 @@ values and a node a in T, chi(T, a) is the unique polynomial of degree
 #T - 1 with chi(T, a)(b) = 1 if b == a else 0 for b in T.  Vanishing
 polynomials: the monic polynomial of degree #V with root set exactly V.
 
-Polynomials are returned in ambient dimension 1; callers embed them into
-more variables as needed.
+`vanishing_coeffs` and `char_poly_family` return dense coefficient lists,
+lowest degree first, which callers read directly; `univariate_vanishing`
+and `char_poly` return polynomials in ambient dimension 1.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ def char_poly(field, values: Sequence, node) -> Polynomial:
 
 
 def char_poly_family(field, values: Sequence) -> dict:
-    """All characteristic polynomials over `values` at once.
+    """All characteristic polynomials over `values` at once, each as a
+    dense coefficient list of length #values, lowest degree first (the
+    form `vanishing_coeffs` returns), keyed by its node.
 
     Builds the master product prod (X - b) once and deflates it by each
     node with synthetic division, which is quadratic overall instead of
@@ -88,5 +91,5 @@ def char_poly_family(field, values: Sequence) -> dict:
         for k in range(m - 1, -1, -1):
             denom = field.add(field.mul(denom, node), quotient[k])
         inv = field.inv(denom)
-        family[node] = _from_dense(field, [field.mul(inv, c) for c in quotient])
+        family[node] = [field.mul(inv, c) for c in quotient]
     return family

@@ -100,13 +100,16 @@ def pointset_to_dict(ps: PointSet) -> dict:
     }
 
 
-def load_pointset(path) -> PointSet:
+def _load_json(path):
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    return pointset_from_dict(obj)
+
+
+def load_pointset(path) -> PointSet:
+    return pointset_from_dict(_load_json(path))
 
 
 def basis_to_dict(gb: GroebnerBasis) -> dict:
@@ -173,12 +176,7 @@ def basis_from_dict(obj, field) -> GroebnerBasis:
 
 
 def load_basis(path, field) -> GroebnerBasis:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    return basis_from_dict(obj, field)
+    return basis_from_dict(_load_json(path), field)
 
 
 def canonical_dumps(obj) -> str:

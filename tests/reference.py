@@ -1,17 +1,18 @@
 """Straightforward versions of the exact kernels, kept as references.
 
-The package's `normal_form`, `check_vanishing` and `check_buchberger`
-are tuned for speed; these are the plain forms they replaced.  Tests
-require the tuned versions to return the same results: witnesses
-included for the first two, the same verdict for the S-pair check,
-which reduces fewer pairs.
+The package's `normal_form`, `check_vanishing`, `check_buchberger` and
+`build_phi` are tuned for speed; these are the plain forms they
+replaced.  Tests require the tuned versions to return the same results:
+witnesses included for the first two, the same verdict for the S-pair
+check, which reduces fewer pairs, and the same lifted polynomial.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from pointideal import Polynomial
+from pointideal import Polynomial, char_poly
+from pointideal.core import slice_representative, split_first_coordinates
 from pointideal.poly import exp_divides, lex_key, normal_form, s_polynomial
 from pointideal.verify import CheckResult
 
@@ -96,3 +97,34 @@ def reference_check_buchberger(gb) -> CheckResult:
                 )
                 return CheckResult("buchberger", False, witness)
     return CheckResult("buchberger", True)
+
+
+def reference_build_phi(field, beta, slice_gbs, stairs) -> Polynomial:
+    """The lift with one `char_poly` per node and the inside-slice
+    product formed factor by factor with `Polynomial` arithmetic."""
+    beta = tuple(beta)
+    n = len(beta)
+    if n < 2:
+        raise ValueError("the lifted construction needs dimension >= 2")
+    beta_hat = beta[1:]
+    if beta not in stairs.corners():
+        raise ValueError(f"{beta} is not a corner of the staircase")
+    inside, outside = split_first_coordinates(beta, slice_gbs)
+    gb_of = dict(slice_gbs)
+    chi = {a1: char_poly(field, outside, a1) for a1 in outside}
+    theta_terms = {(0,) + beta_hat: field.one}
+    for a1 in outside:
+        rep_tail = slice_representative(beta_hat, gb_of[a1]).tail()
+        for (k,), c in chi[a1].terms.items():
+            for gamma_hat, coeff in rep_tail.terms.items():
+                e = (k,) + gamma_hat
+                v = field.add(theta_terms.get(e, field.zero), field.mul(c, coeff))
+                if v == field.zero:
+                    theta_terms.pop(e, None)
+                else:
+                    theta_terms[e] = v
+    phi = Polynomial(field, n, theta_terms)
+    x1 = Polynomial.variable(field, n, 1)
+    for a1 in inside:
+        phi = phi * (x1 - Polynomial.constant(field, n, a1))
+    return phi

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pointideal import GroebnerBasis, Polynomial, bm_gb, cli
 from pointideal.bench import fit_slope
 from pointideal.cli import main
 
@@ -73,3 +74,85 @@ def test_check_passes_on_the_engine_output(tmp_path, capsys):
     basis = write_json(tmp_path / "b.json", basis_of(tmp_path, points))
     assert main(["check", "--points", points, "--basis", basis]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "overall: PASS"
+
+
+def test_check_fails_with_the_vanishing_witness_on_a_changed_coefficient(tmp_path, capsys):
+    points = write_json(tmp_path / "points.json", POINTS)
+    gb = basis_of(tmp_path, points)
+    last = gb["basis"][1]["terms"][-1]
+    last["coeff"] = str((int(last["coeff"]) + 1) % 7)
+    basis = write_json(tmp_path / "bad.json", gb)
+    capsys.readouterr()
+    assert main(["check", "--points", points, "--basis", basis]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "vanishing: FAIL (element with leading exponent (0, 1) evaluates to 1 at (1, 2))"
+    assert out[-1] == "overall: FAIL"
+
+
+def test_compare_exits_0_when_the_engines_agree(tmp_path, capsys):
+    points = write_json(tmp_path / "points.json", POINTS)
+    assert main(["compare", "--points", points]) == 0
+    out = capsys.readouterr()
+    assert out.out.splitlines()[-1] == "bases agree (2 elements, dimension 3)"
+    assert out.err == ""
+
+
+def test_gb_methods_write_identical_bytes(tmp_path):
+    points = write_json(tmp_path / "points.json", POINTS)
+    written = set()
+    for method in ("staircase", "bm", "both"):
+        out = tmp_path / f"{method}.json"
+        assert main(["gb", "--points", points, "--method", method, "--out", str(out)]) == 0
+        written.add(out.read_bytes())
+    assert len(written) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [(["gb", "--method", "both"], "method disagreement: "), (["compare"], "")],
+)
+def test_engine_disagreement_exits_1_and_names_the_first_difference(
+    tmp_path, capsys, monkeypatch, argv, prefix
+):
+    def mutated_bm_gb(ps):
+        gb = bm_gb(ps)
+        f = gb.elements[1]
+        terms = dict(f.terms)
+        terms[(1, 0)] = f.field.add(terms[(1, 0)], f.field.one)
+        return GroebnerBasis(gb.staircase, (gb.elements[0], Polynomial(f.field, f.n, terms)))
+
+    monkeypatch.setattr(cli, "bm_gb", mutated_bm_gb)
+    points = write_json(tmp_path / "points.json", POINTS)
+    assert main(argv + ["--points", points]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"{prefix}elements at corner (0, 1) differ:\n"
+        "  X2 + 2*X1^2 + 3*X1\n  X2 + 2*X1^2 + 4*X1\n"
+    )
+
+
+def test_staircase_out_writes_the_cells_and_corners(tmp_path):
+    points = write_json(tmp_path / "points.json", POINTS)
+    out = tmp_path / "stairs.json"
+    assert main(["staircase", "--points", points, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == (
+        '{"corners":[[3,0],[0,1]],"staircase":[[0,0],[1,0],[2,0]]}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        ("prime:4", "p = 4 is not prime"),
+        ("prime:x", "invalid literal for int() with base 10: 'x'"),
+        ("prime:-7", "p = -7 is not prime"),
+        ("prime:18446744073709551629",
+         "p = 18446744073709551629 exceeds the supported word-sized range"),
+    ],
+)
+def test_bench_field_says_what_is_wrong(capsys, value, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--seed", "1", "--field", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"argument --field: bad field {value!r}: {reason}")

@@ -17,8 +17,10 @@ from pointideal import (
     slice_representative,
     staircase_gb,
 )
+from pointideal import core
 from pointideal.core import split_first_coordinates
 
+from reference import reference_build_phi
 from strategies import pointsets, polynomials
 
 
@@ -173,6 +175,35 @@ class TestBuildPhi:
             build_phi(
                 QQ, (1, 1), slice_bases(example_a_prime), compute_staircase(example_a_prime)
             )
+
+    @settings(max_examples=40, deadline=None)
+    @given(pointsets(max_n=3).filter(lambda ps: ps.n >= 2))
+    def test_agrees_with_the_reference_at_every_corner(self, ps):
+        bases = slice_bases(ps)
+        stairs = compute_staircase(ps)
+        for corner in stairs.sorted_corners():
+            got = build_phi(ps.field, corner, bases, stairs)
+            assert got == reference_build_phi(ps.field, corner, bases, stairs)
+
+    def test_one_product_per_lift(self, example_a_prime, monkeypatch):
+        # corner (3, 0) has three inside slices and (2, 1) two; the
+        # vanishing product over them is a single multiplication
+        counts = {"mul": 0, "lift": 0}
+        mul, lift = Polynomial.__mul__, core.build_phi
+
+        def counted_mul(self, other):
+            counts["mul"] += 1
+            return mul(self, other)
+
+        def counted_lift(*args):
+            counts["lift"] += 1
+            return lift(*args)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+        monkeypatch.setattr(core, "build_phi", counted_lift)
+        staircase_gb(example_a_prime)
+        assert counts["lift"] == 3
+        assert counts["mul"] <= counts["lift"]
 
     def test_vanishes_on_all_points(self, example_a_prime):
         bases = slice_bases(example_a_prime)
