@@ -16,7 +16,7 @@ from .core import (
 )
 from .field import PrimeField, QQ, RationalField, is_prime
 from .interp import char_poly, char_poly_family, univariate_vanishing
-from .poly import Polynomial, lex_compare, normal_form, s_polynomial
+from .poly import Polynomial, normal_form, s_polynomial
 from .staircase import NotLowerSetError, Staircase, staircase_sum
 from .verify import (
     CheckResult,
@@ -53,7 +53,6 @@ __all__ = [
     "check_vanishing",
     "compute_staircase",
     "is_prime",
-    "lex_compare",
     "normal_form",
     "s_polynomial",
     "slice_decompose",

@@ -169,6 +169,35 @@ def fit_slope(xs, ys) -> float | None:
     return num / den
 
 
+def first_difference(a, b) -> str:
+    """The first place where two bases differ: their corner sets, else
+    the first pair of elements, in corner order, that are not equal."""
+    ca = a.staircase.sorted_corners()
+    cb = b.staircase.sorted_corners()
+    if ca != cb:
+        return f"corner sets differ: {ca} vs {cb}"
+    for fa, fb in zip(a.elements, b.elements):
+        if fa != fb:
+            return (
+                f"elements at corner {fa.leading_exponent()} differ:\n"
+                f"  {fa}\n  {fb}"
+            )
+    return "no difference"
+
+
+def run_both(ps):
+    """Run the staircase engine, then the oracle.  Returns the staircase
+    basis, the two engines' seconds, and the first difference between
+    the bases (None when they agree)."""
+    t0 = time.perf_counter()
+    ours = staircase_gb(ps)
+    t1 = time.perf_counter()
+    oracle = bm_gb(ps)
+    t2 = time.perf_counter()
+    difference = None if ours == oracle else first_difference(ours, oracle)
+    return ours, (t1 - t0, t2 - t1), difference
+
+
 def run_bench(cfg: BenchConfig) -> BenchResult:
     """Generate, time and cross-check all instances.  Instance draws
     consume one PRNG stream in a fixed order, so the generated point
@@ -178,12 +207,7 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
     for size in cfg.sizes:
         for trial in range(cfg.trials):
             ps = random_pointset(rng, cfg.field, cfg.dimension, size)
-            t0 = time.perf_counter()
-            ours = staircase_gb(ps)
-            t1 = time.perf_counter()
-            oracle = bm_gb(ps)
-            t2 = time.perf_counter()
-            match = ours == oracle
+            ours, (t_staircase, t_bm), difference = run_both(ps)
             digest = hashlib.sha256(
                 io.canonical_dumps(io.basis_to_dict(ours)).encode()
             ).hexdigest()[:16]
@@ -191,11 +215,11 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
                 TrialResult(
                     size=size,
                     trial=trial,
-                    match=match,
+                    match=difference is None,
                     corners=[list(c) for c in ours.staircase.sorted_corners()],
                     digest=digest,
-                    staircase_seconds=t1 - t0,
-                    bm_seconds=t2 - t1,
+                    staircase_seconds=t_staircase,
+                    bm_seconds=t_bm,
                 )
             )
     return result

@@ -2,20 +2,20 @@
 
 Subcommands: ``gb`` (compute a basis), ``staircase`` (staircase and
 corners, optionally an ASCII picture), ``check`` (certify a basis file
-against a point file), ``compare`` (run both engines and insist on exact
-agreement), ``bench`` (seeded random instances with timings and
-cross-checks).  Exit status is 0 exactly when everything requested
-passed.
+against a point file; each check prints PASS, FAIL or, for vanishing and
+the S-pairs when the basis lacks the reduced shape, SKIPPED), ``compare``
+(run both engines and insist on exact agreement), ``bench`` (seeded
+random instances with timings and cross-checks).  Exit status is 0
+exactly when everything requested passed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from . import io
-from .bench import BenchConfig, run_bench
+from .bench import BenchConfig, run_bench, run_both
 from .bm import bm_gb
 from .core import compute_staircase, staircase_gb
 from .field import PrimeField, QQ
@@ -61,33 +61,6 @@ def _write_output(text: str, out_path) -> None:
             fh.write(text)
 
 
-def _first_difference(a, b) -> str:
-    ca = a.staircase.sorted_corners()
-    cb = b.staircase.sorted_corners()
-    if ca != cb:
-        return f"corner sets differ: {ca} vs {cb}"
-    for fa, fb in zip(a.elements, b.elements):
-        if fa != fb:
-            return (
-                f"elements at corner {fa.leading_exponent()} differ:\n"
-                f"  {fa}\n  {fb}"
-            )
-    return "no difference"
-
-
-def _run_both(ps):
-    """Run the staircase engine, then the oracle.  Returns the staircase
-    basis, the two engines' seconds, and the first difference between
-    the bases (None when they agree)."""
-    t0 = time.perf_counter()
-    ours = staircase_gb(ps)
-    t1 = time.perf_counter()
-    oracle = bm_gb(ps)
-    t2 = time.perf_counter()
-    difference = None if ours == oracle else _first_difference(ours, oracle)
-    return ours, (t1 - t0, t2 - t1), difference
-
-
 def _cmd_gb(args) -> int:
     ps = io.load_pointset(args.points)
     if args.method == "bm":
@@ -95,7 +68,7 @@ def _cmd_gb(args) -> int:
     elif args.method == "staircase":
         gb = staircase_gb(ps)
     else:
-        gb, _, difference = _run_both(ps)
+        gb, _, difference = run_both(ps)
         if difference is not None:
             print("method disagreement: " + difference, file=sys.stderr)
             return 1
@@ -131,7 +104,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    ours, (t_staircase, t_bm), difference = _run_both(io.load_pointset(args.points))
+    ours, (t_staircase, t_bm), difference = run_both(io.load_pointset(args.points))
     print(f"staircase method: {t_staircase:.6f} s")
     print(f"bm method:        {t_bm:.6f} s")
     if difference is not None:

@@ -16,6 +16,7 @@ previously finished elements reduces every tail into the staircase.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .interp import char_poly_family, univariate_vanishing, vanishing_coeffs
 from .poly import Exponent, Polynomial, lex_key, normal_form
@@ -150,14 +151,18 @@ class GroebnerBasis:
 
 
 def slice_representative(beta_hat: Exponent, slice_gb: GroebnerBasis) -> Polynomial:
-    """The unique monic polynomial with leading exponent beta_hat, tail
-    supported on the slice staircase, vanishing on the slice: the
-    monomial minus its normal form."""
+    """The tail of the slice representative at beta_hat.
+
+    The representative is the unique monic polynomial with leading
+    exponent beta_hat and tail supported on the slice staircase that
+    vanishes on the slice: X^beta_hat minus its normal form.  Only the
+    tail is returned, the negated normal form, since that is all the
+    lift reads."""
     beta_hat = tuple(beta_hat)
     if beta_hat in slice_gb.staircase:
         raise ValueError(f"{beta_hat} lies inside the staircase")
     mono = Polynomial.monomial(slice_gb.field, slice_gb.n, beta_hat)
-    return mono - normal_form(mono, slice_gb.elements)
+    return -normal_form(mono, slice_gb.elements)
 
 
 def split_first_coordinates(beta: Exponent, slice_gbs) -> tuple[list, list]:
@@ -196,11 +201,11 @@ def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial
     chi = char_poly_family(field, outside)
     theta_terms: dict[Exponent, object] = {(0,) + beta_hat: field.one}
     for a1 in outside:
-        rep_tail = slice_representative(beta_hat, gb_of[a1]).tail()
+        rep_tail = slice_representative(beta_hat, gb_of[a1]).terms
         for k, c in enumerate(chi[a1]):
             if c == field.zero:
                 continue
-            for gamma_hat, coeff in rep_tail.terms.items():
+            for gamma_hat, coeff in rep_tail.items():
                 e = (k,) + gamma_hat
                 theta_terms[e] = field.add(theta_terms.get(e, field.zero), field.mul(c, coeff))
     rest = (0,) * (n - 1)
@@ -236,7 +241,7 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
         f = normal_form(build_phi(fld, corner, slice_gbs, stairs), built)
         if f.is_zero or f.leading_exponent() != corner:
             raise AssertionError(f"reduced lift lost its leading exponent {corner}")
-        stray = [e for e in f.tail().terms if e not in stairs.cells]
+        stray = [e for e in islice(f.terms, 1, None) if e not in stairs.cells]
         if stray:
             raise AssertionError(
                 f"tail exponents {stray} escaped the staircase at corner {corner}"

@@ -20,7 +20,8 @@ _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 _MAX_PRIME = 2**64
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
+# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24;
+# `is_prime` also trial-divides by them first.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -28,7 +29,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for word-sized integers."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n == q:
             return True
         if n % q == 0:
@@ -54,7 +55,6 @@ class RationalField:
     """The field of rational numbers.  Scalars are ``Fraction`` values,
     which are always stored reduced with positive denominator."""
 
-    kind = "rational"
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -91,11 +91,6 @@ class RationalField:
     def mul(self, a, b):
         return a * b
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return a / b
-
     def neg(self, a):
         return -a
 
@@ -129,8 +124,6 @@ class RationalField:
 
 class PrimeField:
     """The prime field F_p.  Scalars are ints in ``range(p)``."""
-
-    kind = "prime"
 
     def __init__(self, p: int):
         if not isinstance(p, int):
@@ -169,11 +162,6 @@ class PrimeField:
 
     def mul(self, a, b):
         return a * b % self.p
-
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError("division by zero")
-        return a * pow(b, -1, self.p) % self.p
 
     def neg(self, a):
         return -a % self.p

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from operator import add as add_, le as le_, neg, sub as sub_
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Exponent = tuple[int, ...]
 
@@ -22,14 +22,6 @@ Exponent = tuple[int, ...]
 def lex_key(e: Exponent) -> Exponent:
     """Sort key realizing the lex order (ascending)."""
     return e[::-1]
-
-
-def lex_compare(a: Exponent, b: Exponent) -> int:
-    """-1, 0 or 1 as a <, =, > b in the lex order."""
-    if len(a) != len(b):
-        raise ValueError(f"exponent dimensions differ: {len(a)} vs {len(b)}")
-    ka, kb = a[::-1], b[::-1]
-    return (ka > kb) - (ka < kb)
 
 
 def exp_sub(a: Exponent, b: Exponent) -> Exponent:
@@ -53,17 +45,14 @@ class Polynomial:
 
     __slots__ = ("field", "n", "terms")
 
-    def __init__(self, field, n: int, terms: Mapping | Iterable = ()):
+    def __init__(self, field, n: int, terms: Mapping[Exponent, object] | None = None):
         if n < 1:
             raise ValueError("ambient dimension must be >= 1")
-        items = terms.items() if isinstance(terms, Mapping) else terms
         collected: dict[Exponent, object] = {}
-        for exp, coeff in items:
+        for exp, coeff in (terms or {}).items():
             exp = tuple(exp)
             if len(exp) != n or any(x < 0 or not isinstance(x, int) for x in exp):
                 raise ValueError(f"bad exponent {exp} for dimension {n}")
-            if exp in collected:
-                raise ValueError(f"duplicate exponent {exp}")
             if coeff != field.zero:
                 collected[exp] = coeff
         object.__setattr__(self, "field", field)
@@ -89,14 +78,6 @@ class Polynomial:
     def monomial(cls, field, n: int, exp: Exponent, coeff=None) -> "Polynomial":
         return cls(field, n, {tuple(exp): field.one if coeff is None else coeff})
 
-    @classmethod
-    def variable(cls, field, n: int, index: int) -> "Polynomial":
-        """X_index, with index in 1..n."""
-        if not 1 <= index <= n:
-            raise ValueError(f"variable index {index} out of range 1..{n}")
-        exp = tuple(1 if i == index - 1 else 0 for i in range(n))
-        return cls(field, n, {exp: field.one})
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -111,9 +92,6 @@ class Polynomial:
     def leading_coefficient(self):
         return self.terms[self.leading_exponent()]
 
-    def coefficient(self, exp: Exponent):
-        return self.terms.get(tuple(exp), self.field.zero)
-
     def tail(self) -> "Polynomial":
         """The polynomial minus its leading term."""
         if not self.terms:
@@ -124,14 +102,6 @@ class Polynomial:
 
     def is_monic(self) -> bool:
         return bool(self.terms) and self.leading_coefficient() == self.field.one
-
-    def monic(self) -> "Polynomial":
-        c = self.leading_coefficient()
-        if c == self.field.one:
-            return self
-        inv = self.field.inv(c)
-        f = self.field
-        return Polynomial(f, self.n, {e: f.mul(inv, v) for e, v in self.terms.items()})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -166,10 +136,10 @@ class Polynomial:
         return Polynomial(f, self.n, {e: f.neg(c) for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        f = self.field
         if not isinstance(other, Polynomial):
-            return Polynomial(f, self.n, {e: f.mul(c, other) for e, c in self.terms.items()})
+            return NotImplemented
         self._check_compatible(other)
+        f = self.field
         out: dict[Exponent, object] = {}
         zero = f.zero
         mul, add = f.mul, f.add
@@ -178,23 +148,6 @@ class Polynomial:
                 e = tuple(x + y for x, y in zip(ea, eb))
                 out[e] = add(out.get(e, zero), mul(ca, cb))
         return Polynomial(f, self.n, out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def evaluate(self, point):
-        """Exact value at a point given as a tuple of field scalars."""
-        if len(point) != self.n:
-            raise ValueError(f"point has {len(point)} coordinates, expected {self.n}")
-        f = self.field
-        total = f.zero
-        for e, c in self.terms.items():
-            v = c
-            for a, k in zip(point, e):
-                if k:
-                    v = f.mul(v, f.pow(a, k))
-            total = f.add(total, v)
-        return total
 
     # -- comparison / display ----------------------------------------------
 

@@ -3,10 +3,10 @@
 A staircase is a finite subset D of N_0^n closed under decrementing any
 coordinate.  Its corner set consists of the minimal elements of the
 complement: exactly the exponents beta outside D such that beta - e_i
-lies in D whenever beta_i > 0.  Staircases carry an addition that merges
-two of them column by column over the projection dropping the first
-coordinate, summing fiber sizes -- the "drop the pieces down the 1-axis"
-picture.
+lies in D whenever beta_i > 0.  `staircase_sum` adds a family of
+staircases by merging them column by column over the projection dropping
+the first coordinate, summing fiber sizes -- the "drop the pieces down
+the 1-axis" picture.
 """
 
 from __future__ import annotations
@@ -94,12 +94,6 @@ class Staircase:
     def sorted_corners(self) -> list[Exponent]:
         return sorted(self.corners(), key=lex_key)
 
-    def project_drop_first(self) -> "Staircase":
-        """Image under dropping the first coordinate; a lower set again."""
-        if self.n < 2:
-            raise ValueError("projection needs dimension >= 2")
-        return Staircase(self.n - 1, {c[1:] for c in self.cells})
-
     def fiber_count(self, dhat: Exponent) -> int:
         """Number of cells whose last n-1 coordinates equal dhat."""
         dhat = tuple(dhat)
@@ -116,11 +110,6 @@ class Staircase:
     def prepend_zero(self) -> "Staircase":
         """Embed into one more dimension as {(0,) + d}."""
         return Staircase(self.n + 1, {(0,) + c for c in self.cells})
-
-    def __add__(self, other):
-        if not isinstance(other, Staircase):
-            return NotImplemented
-        return staircase_sum((self, other), self.n)
 
     def render(self) -> str:
         """ASCII picture for n = 2: rows are X2 descending, 'o' marks a

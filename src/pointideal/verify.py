@@ -15,6 +15,16 @@ for detecting unnecessary reductions in the construction of Groebner
 bases", EUROSAM 1979; Gebauer and Moeller, "On an installation of
 Buchberger's algorithm", JSC 6, 1988), so it reaches the same verdict as
 reducing every pair.
+
+`verify_basis` decides reduced shape and dimension first; both cost
+O(terms).  Only when the shape passes are vanishing and the S-pairs
+checked: then every exponent lies in the staircase or at a corner, so no
+coordinate exceeds the number of staircase cells and the power tables and
+reductions stay bounded by the input's size.  When the shape fails, the
+verdict is already FAIL, and the two checks are reported as skipped
+(`passed` is None) rather than run on exponents the file may make
+arbitrarily large.  The report lists the four checks in the fixed order
+vanishing, reduced shape, S-pairs, dimension.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from .poly import exp_divides, exp_lcm, lex_key, normal_form, s_polynomial
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
+    passed: bool | None
     witness: str | None = None
 
     def as_dict(self) -> dict:
@@ -50,11 +60,19 @@ class VerificationReport:
     def summary_lines(self) -> list[str]:
         lines = []
         for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
+            status = {True: "PASS", False: "FAIL", None: "SKIPPED"}[c.passed]
             suffix = f" ({c.witness})" if c.witness else ""
             lines.append(f"{c.name}: {status}{suffix}")
         lines.append(f"overall: {'PASS' if self.overall else 'FAIL'}")
         return lines
+
+
+def _check_compatible(gb: GroebnerBasis, ps: PointSet) -> None:
+    for f in gb.elements:
+        if f.n != ps.n:
+            raise ValueError("basis and points have different dimensions")
+        if f.field != ps.field:
+            raise ValueError("basis and points have different fields")
 
 
 def check_vanishing(gb: GroebnerBasis, ps: PointSet) -> CheckResult:
@@ -64,11 +82,7 @@ def check_vanishing(gb: GroebnerBasis, ps: PointSet) -> CheckResult:
     exponent of that coordinate in the basis, shared by all elements.
     Elements are tried in order and, for each, the points in order, so
     the witness is the first failing (element, point) pair."""
-    for f in gb.elements:
-        if f.n != ps.n:
-            raise ValueError("basis and points have different dimensions")
-        if f.field != ps.field:
-            raise ValueError("basis and points have different fields")
+    _check_compatible(gb, ps)
     fld = ps.field
     zero, add, mul = fld.zero, fld.add, fld.mul
     top = [max(k) for k in zip(*(e for f in gb.elements for e in f.terms))]
@@ -186,12 +200,16 @@ def check_dimension(gb: GroebnerBasis, ps: PointSet) -> CheckResult:
 
 
 def verify_basis(gb: GroebnerBasis, ps: PointSet) -> VerificationReport:
-    """Run all four checks."""
-    return VerificationReport(
-        (
-            check_vanishing(gb, ps),
-            check_reduced_shape(gb),
-            check_buchberger(gb),
-            check_dimension(gb, ps),
+    """Run the four checks, shape and dimension first; vanishing and the
+    S-pairs are skipped when the shape fails (see the module docstring)."""
+    _check_compatible(gb, ps)
+    shape = check_reduced_shape(gb)
+    dimension = check_dimension(gb, ps)
+    if shape.passed:
+        vanishing, buchberger = check_vanishing(gb, ps), check_buchberger(gb)
+    else:
+        vanishing, buchberger = (
+            CheckResult(name, None, "the basis does not have the reduced shape")
+            for name in ("vanishing", "buchberger")
         )
-    )
+    return VerificationReport((vanishing, shape, buchberger, dimension))

@@ -5,6 +5,9 @@ The package's `normal_form`, `check_vanishing`, `check_buchberger` and
 replaced.  Tests require the tuned versions to return the same results:
 witnesses included for the first two, the same verdict for the S-pair
 check, which reduces fewer pairs, and the same lifted polynomial.
+
+`evaluate` and `variable` are plain helpers the tests build on; the
+package itself never evaluates a `Polynomial` at a point.
 """
 
 from __future__ import annotations
@@ -12,9 +15,27 @@ from __future__ import annotations
 import heapq
 
 from pointideal import Polynomial, char_poly
-from pointideal.core import slice_representative, split_first_coordinates
+from pointideal.core import split_first_coordinates
 from pointideal.poly import exp_divides, lex_key, normal_form, s_polynomial
 from pointideal.verify import CheckResult
+
+
+def evaluate(f: Polynomial, point):
+    """Exact value of f at a point given as a tuple of field scalars."""
+    if len(point) != f.n:
+        raise ValueError(f"point has {len(point)} coordinates, expected {f.n}")
+    fld = f.field
+    total = fld.zero
+    for e, c in f.terms.items():
+        for a, k in zip(point, e):
+            c = fld.mul(c, fld.pow(a, k))
+        total = fld.add(total, c)
+    return total
+
+
+def variable(field, n: int, index: int) -> Polynomial:
+    """X_index in n variables, with index in 1..n."""
+    return Polynomial.monomial(field, n, tuple(int(i == index - 1) for i in range(n)))
 
 
 def _heap_key(e):
@@ -62,11 +83,11 @@ def reference_normal_form(f: Polynomial, basis) -> Polynomial:
 
 
 def reference_check_vanishing(gb, ps) -> CheckResult:
-    """Evaluate every element at every point with `Polynomial.evaluate`;
-    report the first nonzero value."""
+    """Evaluate every element at every point with `evaluate`; report the
+    first nonzero value."""
     for f in gb.elements:
         for pt in ps.points:
-            value = f.evaluate(pt)
+            value = evaluate(f, pt)
             if value != ps.field.zero:
                 witness = (
                     f"element with leading exponent {f.leading_exponent()} "
@@ -100,8 +121,10 @@ def reference_check_buchberger(gb) -> CheckResult:
 
 
 def reference_build_phi(field, beta, slice_gbs, stairs) -> Polynomial:
-    """The lift with one `char_poly` per node and the inside-slice
-    product formed factor by factor with `Polynomial` arithmetic."""
+    """The lift with each slice representative formed in full as the
+    monomial minus its normal form, one `char_poly` per node, and the
+    inside-slice product formed factor by factor with `Polynomial`
+    arithmetic."""
     beta = tuple(beta)
     n = len(beta)
     if n < 2:
@@ -114,7 +137,8 @@ def reference_build_phi(field, beta, slice_gbs, stairs) -> Polynomial:
     chi = {a1: char_poly(field, outside, a1) for a1 in outside}
     theta_terms = {(0,) + beta_hat: field.one}
     for a1 in outside:
-        rep_tail = slice_representative(beta_hat, gb_of[a1]).tail()
+        mono = Polynomial.monomial(field, n - 1, beta_hat)
+        rep_tail = (mono - normal_form(mono, gb_of[a1].elements)).tail()
         for (k,), c in chi[a1].terms.items():
             for gamma_hat, coeff in rep_tail.terms.items():
                 e = (k,) + gamma_hat
@@ -124,7 +148,7 @@ def reference_build_phi(field, beta, slice_gbs, stairs) -> Polynomial:
                 else:
                     theta_terms[e] = v
     phi = Polynomial(field, n, theta_terms)
-    x1 = Polynomial.variable(field, n, 1)
+    x1 = variable(field, n, 1)
     for a1 in inside:
         phi = phi * (x1 - Polynomial.constant(field, n, a1))
     return phi

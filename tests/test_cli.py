@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pointideal import GroebnerBasis, Polynomial, bm_gb, cli
+from pointideal import GroebnerBasis, Polynomial, PrimeField, bench, bm_gb, verify
 from pointideal.bench import fit_slope
 from pointideal.cli import main
 
@@ -121,7 +121,7 @@ def test_engine_disagreement_exits_1_and_names_the_first_difference(
         terms[(1, 0)] = f.field.add(terms[(1, 0)], f.field.one)
         return GroebnerBasis(gb.staircase, (gb.elements[0], Polynomial(f.field, f.n, terms)))
 
-    monkeypatch.setattr(cli, "bm_gb", mutated_bm_gb)
+    monkeypatch.setattr(bench, "bm_gb", mutated_bm_gb)
     points = write_json(tmp_path / "points.json", POINTS)
     assert main(argv + ["--points", points]) == 1
     err = capsys.readouterr().err
@@ -129,6 +129,63 @@ def test_engine_disagreement_exits_1_and_names_the_first_difference(
         f"{prefix}elements at corner (0, 1) differ:\n"
         "  X2 + 2*X1^2 + 3*X1\n  X2 + 2*X1^2 + 4*X1\n"
     )
+
+
+def test_bench_disagreement_exits_1_and_says_no(capsys, monkeypatch):
+    def mutated_bm_gb(ps):
+        gb = bm_gb(ps)
+        f = gb.elements[-1]
+        changed = f + Polynomial.one(f.field, f.n)
+        return GroebnerBasis(gb.staircase, gb.elements[:-1] + (changed,))
+
+    monkeypatch.setattr(bench, "bm_gb", mutated_bm_gb)
+    assert main(["bench", "--seed", "1", "--sizes", "8", "--trials", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[1].split()[-1] == "NO"
+
+
+def test_check_skips_the_costly_checks_when_the_shape_fails(tmp_path, capsys, monkeypatch):
+    # a tail exponent of 10^9 outside the staircase: vanishing would build
+    # power tables up to it and the S-pair check would reduce X1^(10^9)
+    # one step at a time, so both must be skipped, not run
+    points = write_json(tmp_path / "points.json", {
+        "field": {"type": "prime", "p": 7},
+        "dimension": 2,
+        "points": [["0", "0"], ["0", "1"], ["0", "2"]],
+    })
+    gb = basis_of(tmp_path, points)
+    element = next(f for f in gb["basis"] if f["leading"] == [0, 3])
+    element["terms"].append({"exp": [10**9, 1], "coeff": "1"})
+    basis = write_json(tmp_path / "huge.json", gb)
+    calls = {"pow": 0, "normal_form": 0}
+    pow_ = PrimeField.pow
+
+    def counted_pow(self, a, k):
+        calls["pow"] += 1
+        if calls["pow"] > 100:
+            raise RuntimeError("the certificate's work is not bounded by its input")
+        return pow_(self, a, k)
+
+    def counted_normal_form(*args):
+        calls["normal_form"] += 1
+        raise RuntimeError("the S-pair check ran on a basis without the reduced shape")
+
+    monkeypatch.setattr(PrimeField, "pow", counted_pow)
+    monkeypatch.setattr(verify, "normal_form", counted_normal_form)
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main(["check", "--points", points, "--basis", basis, "--out", str(report)]) == 1
+    skipped = "SKIPPED (the basis does not have the reduced shape)"
+    assert capsys.readouterr().out.splitlines() == [
+        f"vanishing: {skipped}",
+        "reduced_shape: FAIL (tail exponent (1000000000, 1) of the element at (0, 3) "
+        "is outside the staircase)",
+        f"buchberger: {skipped}",
+        "dimension: PASS",
+        "overall: FAIL",
+    ]
+    assert calls == {"pow": 0, "normal_form": 0}
+    checks = json.loads(report.read_text(encoding="utf-8"))["checks"]
+    assert [c["passed"] for c in checks] == [None, False, None, True]
 
 
 def test_staircase_out_writes_the_cells_and_corners(tmp_path):

@@ -88,7 +88,8 @@ def monic_pairs(draw):
     for _ in range(2):
         f = draw(polynomials(field, n, cap=3, max_terms=5))
         assume(not f.is_zero)
-        pair.append(f.monic())
+        inv = field.inv(f.leading_coefficient())
+        pair.append(Polynomial(field, n, {e: field.mul(inv, c) for e, c in f.terms.items()}))
     return pair
 
 

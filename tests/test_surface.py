@@ -1,0 +1,129 @@
+"""The package's public surface, pinned.
+
+Growing or shrinking the surface means editing one explicit list here.
+Public names are those without a leading underscore, read from a sample
+instance so that slots and instance attributes count; the arithmetic
+operators each class defines are pinned as well.
+"""
+
+from fractions import Fraction
+
+import pointideal
+from pointideal import (
+    GroebnerBasis,
+    PointSet,
+    Polynomial,
+    PrimeField,
+    QQ,
+    RationalField,
+    Staircase,
+    staircase_gb,
+)
+
+OPERATORS = ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__", "__truediv__")
+
+ALL = [
+    "CheckResult",
+    "DuplicatePointError",
+    "GroebnerBasis",
+    "NotLowerSetError",
+    "PointSet",
+    "Polynomial",
+    "PrimeField",
+    "QQ",
+    "RationalField",
+    "Staircase",
+    "VerificationReport",
+    "bm_gb",
+    "bm_staircase",
+    "build_phi",
+    "char_poly",
+    "char_poly_family",
+    "check_buchberger",
+    "check_dimension",
+    "check_reduced_shape",
+    "check_vanishing",
+    "compute_staircase",
+    "is_prime",
+    "normal_form",
+    "s_polynomial",
+    "slice_decompose",
+    "slice_representative",
+    "staircase_gb",
+    "staircase_sum",
+    "univariate_vanishing",
+    "verify_basis",
+]
+
+FIELD = [
+    "add",
+    "coerce",
+    "format",
+    "inv",
+    "is_negative",
+    "mul",
+    "neg",
+    "one",
+    "parse",
+    "pow",
+    "sub",
+    "vec_scale",
+    "vec_sub_scaled",
+    "zero",
+]
+
+PUBLIC = {
+    Polynomial: (
+        [
+            "constant",
+            "field",
+            "is_monic",
+            "is_zero",
+            "leading_coefficient",
+            "leading_exponent",
+            "monomial",
+            "n",
+            "one",
+            "tail",
+            "terms",
+        ],
+        ["__add__", "__mul__", "__neg__", "__sub__"],
+    ),
+    Staircase: (
+        [
+            "cells",
+            "column_counts",
+            "corners",
+            "fiber_count",
+            "n",
+            "prepend_zero",
+            "render",
+            "sorted_cells",
+            "sorted_corners",
+        ],
+        [],
+    ),
+    PrimeField: (sorted(FIELD + ["p"]), []),
+    RationalField: (FIELD, []),
+    PointSet: (["field", "n", "points"], []),
+    GroebnerBasis: (["elements", "field", "n", "quotient_dimension", "staircase"], []),
+}
+
+
+def samples():
+    ps = PointSet(QQ, 2, [(Fraction(1), Fraction(2))])
+    gb = staircase_gb(ps)
+    return [gb.elements[0], gb.staircase, PrimeField(7), QQ, ps, gb]
+
+
+def test_package_exports():
+    assert sorted(pointideal.__all__) == ALL
+
+
+def test_class_surfaces():
+    for obj in samples():
+        cls = type(obj)
+        public, operators = PUBLIC[cls]
+        assert sorted(n for n in dir(obj) if not n.startswith("_")) == public, cls
+        assert sorted(n for n in OPERATORS if n in vars(cls)) == operators, cls
+    assert {type(obj) for obj in samples()} == set(PUBLIC)
