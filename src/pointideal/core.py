@@ -11,6 +11,11 @@ characteristic polynomials in X1, the result is multiplied by the
 vanishing polynomial in X1 of the slices whose staircase already contains
 the corner's projection, and finally the lex-greatest-first division by the
 previously finished elements reduces every tail into the staircase.
+
+A representative whose leading exponent is a corner of its slice
+staircase is a stored element of the slice basis and is read, not
+recomputed.  Both divisions send staircase cells, which no leading
+exponent divides, straight to the remainder.
 """
 
 from __future__ import annotations
@@ -157,12 +162,20 @@ def slice_representative(beta_hat: Exponent, slice_gb: GroebnerBasis) -> Polynom
     exponent beta_hat and tail supported on the slice staircase that
     vanishes on the slice: X^beta_hat minus its normal form.  Only the
     tail is returned, the negated normal form, since that is all the
-    lift reads."""
+    lift reads.
+
+    When beta_hat is a corner of the slice staircase, the representative
+    is the slice basis element led by beta_hat, and its tail is read
+    from it.  Otherwise the normal form is computed, with the slice
+    staircase as the reducer-free cells (see `normal_form`)."""
     beta_hat = tuple(beta_hat)
     if beta_hat in slice_gb.staircase:
         raise ValueError(f"{beta_hat} lies inside the staircase")
+    for f in slice_gb.elements:
+        if f.leading_exponent() == beta_hat:
+            return f.tail()
     mono = Polynomial.monomial(slice_gb.field, slice_gb.n, beta_hat)
-    return -normal_form(mono, slice_gb.elements)
+    return -normal_form(mono, slice_gb.elements, slice_gb.staircase.cells)
 
 
 def split_first_coordinates(beta: Exponent, slice_gbs) -> tuple[list, list]:
@@ -210,7 +223,8 @@ def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial
                 theta_terms[e] = field.add(theta_terms.get(e, field.zero), field.mul(c, coeff))
     rest = (0,) * (n - 1)
     vanishing = {(k,) + rest: c for k, c in enumerate(vanishing_coeffs(field, inside))}
-    return Polynomial(field, n, theta_terms) * Polynomial(field, n, vanishing)
+    theta = Polynomial._trusted(field, n, theta_terms)
+    return theta * Polynomial._trusted(field, n, vanishing)
 
 
 def staircase_gb(ps: PointSet) -> GroebnerBasis:
@@ -238,7 +252,7 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
     )
     built: list[Polynomial] = []
     for corner in stairs.sorted_corners():
-        f = normal_form(build_phi(fld, corner, slice_gbs, stairs), built)
+        f = normal_form(build_phi(fld, corner, slice_gbs, stairs), built, stairs.cells)
         if f.is_zero or f.leading_exponent() != corner:
             raise AssertionError(f"reduced lift lost its leading exponent {corner}")
         stray = [e for e in islice(f.terms, 1, None) if e not in stairs.cells]

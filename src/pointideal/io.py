@@ -148,9 +148,12 @@ def basis_from_dict(obj, field) -> GroebnerBasis:
                 raise ValueError(f"{at}.coeff: expected a string")
             terms.append((_exponent(t["exp"], f"{at}.exp"), t["coeff"]))
         raw_elements.append((leading, terms))
-    dims = {len(c) for c in cells} | {
-        len(e) for _, terms in raw_elements for e, _ in terms
-    }
+    dims = {len(c) for c in cells}
+    for leading, terms in raw_elements:
+        dims.add(len(leading))
+        dims.update(len(e) for e, _ in terms)
+    if not dims:
+        raise ValueError("basis: no exponents to infer the dimension from")
     if len(dims) != 1:
         raise ValueError(f"basis: inconsistent exponent dimensions {sorted(dims)}")
     n = dims.pop()

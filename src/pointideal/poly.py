@@ -40,6 +40,24 @@ def exp_divides(d: Exponent, e: Exponent) -> bool:
     return len(d) == len(e) and all(x <= y for x, y in zip(d, e))
 
 
+def _descending(field, terms: Mapping[Exponent, object]) -> dict:
+    """The nonzero terms, lex-descending."""
+    zero = field.zero
+    return dict(
+        sorted(
+            ((e, c) for e, c in terms.items() if c != zero),
+            key=lambda kv: lex_key(kv[0]),
+            reverse=True,
+        )
+    )
+
+
+def _fill(p: "Polynomial", field, n: int, terms: dict) -> None:
+    object.__setattr__(p, "field", field)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "terms", terms)
+
+
 class Polynomial:
     """Immutable sparse polynomial over an exact field."""
 
@@ -48,20 +66,27 @@ class Polynomial:
     def __init__(self, field, n: int, terms: Mapping[Exponent, object] | None = None):
         if n < 1:
             raise ValueError("ambient dimension must be >= 1")
-        collected: dict[Exponent, object] = {}
+        checked: dict[Exponent, object] = {}
         for exp, coeff in (terms or {}).items():
             exp = tuple(exp)
             if len(exp) != n or any(x < 0 or not isinstance(x, int) for x in exp):
                 raise ValueError(f"bad exponent {exp} for dimension {n}")
-            if coeff != field.zero:
-                collected[exp] = coeff
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self,
-            "terms",
-            dict(sorted(collected.items(), key=lambda kv: lex_key(kv[0]), reverse=True)),
-        )
+            checked[exp] = coeff
+        _fill(self, field, n, _descending(field, checked))
+
+    @classmethod
+    def _trusted(cls, field, n: int, terms: dict, ordered: bool = False) -> "Polynomial":
+        """A polynomial from terms the caller vouches for, without the
+        per-exponent check of the public constructor.
+
+        The caller guarantees that every exponent is a tuple of n
+        non-negative ints.  With `ordered` it also guarantees that `terms`
+        is lex-descending with no zero coefficient, and hands the dict
+        over (it is kept, not copied); otherwise zero coefficients are
+        dropped and the terms sorted here."""
+        p = object.__new__(cls)
+        _fill(p, field, n, terms if ordered else _descending(field, terms))
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -98,7 +123,7 @@ class Polynomial:
             return self
         it = iter(self.terms.items())
         next(it)
-        return Polynomial(self.field, self.n, dict(it))
+        return Polynomial._trusted(self.field, self.n, dict(it), ordered=True)
 
     def is_monic(self) -> bool:
         return bool(self.terms) and self.leading_coefficient() == self.field.one
@@ -133,7 +158,8 @@ class Polynomial:
 
     def __neg__(self):
         f = self.field
-        return Polynomial(f, self.n, {e: f.neg(c) for e, c in self.terms.items()})
+        terms = {e: f.neg(c) for e, c in self.terms.items()}
+        return Polynomial._trusted(f, self.n, terms, ordered=True)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -147,7 +173,7 @@ class Polynomial:
             for eb, cb in other.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
                 out[e] = add(out.get(e, zero), mul(ca, cb))
-        return Polynomial(f, self.n, out)
+        return Polynomial._trusted(f, self.n, out)
 
     # -- comparison / display ----------------------------------------------
 
@@ -201,7 +227,7 @@ def _check_reducers(basis):
         seen.add(le)
 
 
-def normal_form(f: Polynomial, basis) -> Polynomial:
+def normal_form(f: Polynomial, basis, cells=frozenset()) -> Polynomial:
     """Remainder of multivariate division of f by a monic basis.
 
     Deterministic: always cancels the lex-greatest reducible term, using
@@ -214,7 +240,16 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     cancels (the lex order is compatible with multiplication), so the
     exponents taken off the heap never increase and a term, once taken
     off, never returns.  A heap entry whose exponent is no longer in the
-    working set is therefore stale, and is skipped.
+    working set is therefore stale, and is skipped.  The remainder is
+    collected in the order the heap yields it, already lex-descending.
+
+    `cells` is a hint: exponents known to be divisible by no leading
+    exponent of the basis, which go to the remainder without the scan
+    over the reducers.  A lower set that contains no leading exponent is
+    such a set (if a leading exponent divided a cell, it would itself be
+    a cell), so the engine passes the staircase whose corners lead its
+    basis, and the remainder is the same term for term.  The certificate
+    never passes it: the staircase is part of what it checks.
     """
     basis = list(basis)
     _check_reducers(basis)
@@ -236,6 +271,9 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         if e not in work:
             continue
         c = work.pop(e)
+        if e in cells:
+            remainder[e] = c
+            continue
         for le, tail in reducers:
             if all(map(le_, le, e)):
                 # the leading term cancels c exactly (the reducer is monic)
@@ -252,7 +290,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
                 break
         else:
             remainder[e] = c
-    return Polynomial(fld, f.n, remainder)
+    return Polynomial._trusted(fld, f.n, remainder, ordered=True)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -273,4 +311,4 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     for e, c in g.terms.items():
         e = tuple(map(add_, e, shift_g))
         terms[e] = sub(terms.get(e, zero), c)
-    return Polynomial(fld, f.n, terms)
+    return Polynomial._trusted(fld, f.n, terms)

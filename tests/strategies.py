@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import strategies as st
 
@@ -81,3 +82,17 @@ def pointsets(draw, fields=(QQ, F13), max_n: int = 3, max_size: int = 8):
         )
     )
     return PointSet(field, n, pts)
+
+
+@st.composite
+def grid_pointsets(draw, min_size: int = 8, max_size: int = 30):
+    """Subsets of the full grids F_3^4 and F_5^3, the shape of the grid4
+    benchmark workload: many points share each X1 slice, so the slice
+    staircases have several corners and many lifted representatives are
+    stored slice elements."""
+    p, n = draw(st.sampled_from([(3, 4), (5, 3)]))
+    grid = list(product(range(p), repeat=n))
+    pts = draw(
+        st.lists(st.sampled_from(grid), min_size=min_size, max_size=max_size, unique=True)
+    )
+    return PointSet(PrimeField(p), n, pts)

@@ -69,6 +69,21 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, edit, message):
     assert err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        ({"staircase": [], "basis": []}, "basis: no exponents to infer the dimension from"),
+        ({"staircase": [], "basis": [{"leading": [0, 0], "terms": []}]},
+         "basis[0]: declared leading exponent [0, 0] does not lead the terms"),
+    ],
+)
+def test_a_basis_file_without_terms_exits_2_with_one_line(tmp_path, capsys, basis, message):
+    points = write_json(tmp_path / "points.json", POINTS)
+    basis = write_json(tmp_path / "basis.json", basis)
+    assert main(["check", "--points", points, "--basis", basis]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_check_passes_on_the_engine_output(tmp_path, capsys):
     points = write_json(tmp_path / "points.json", POINTS)
     basis = write_json(tmp_path / "b.json", basis_of(tmp_path, points))

@@ -30,7 +30,16 @@ from reference import (
     reference_check_vanishing,
     reference_normal_form,
 )
-from strategies import F7, F13, exponents, pointsets, polynomials, prime_scalars, rationals
+from strategies import (
+    F7,
+    F13,
+    exponents,
+    grid_pointsets,
+    pointsets,
+    polynomials,
+    prime_scalars,
+    rationals,
+)
 
 FIELDS = st.sampled_from([QQ, F7])
 
@@ -78,6 +87,36 @@ def test_normal_form_matches_the_reference_on_reduced_bases(ps, data):
     basis = staircase_gb(ps).elements
     f = data.draw(polynomials(ps.field, ps.n, cap=4))
     assert normal_form(f, basis) == reference_normal_form(f, basis)
+
+
+@given(pointsets(fields=(QQ, F13)), st.data())
+@settings(max_examples=200)
+def test_the_cell_hint_leaves_the_remainder_unchanged(ps, data):
+    """Skipping the reducer scan on staircase cells is exact: no leading
+    exponent of a reduced basis divides a cell."""
+    gb = staircase_gb(ps)
+    cells = sorted(gb.staircase.cells, key=lex_key)
+    f = data.draw(polynomials(ps.field, ps.n, cap=4))
+    on_cells = data.draw(st.dictionaries(st.sampled_from(cells), nonzero_scalars(ps.field)))
+    for g in (f, f + Polynomial(ps.field, ps.n, on_cells)):
+        hinted = normal_form(g, gb.elements, gb.staircase.cells)
+        assert list(hinted.terms.items()) == list(normal_form(g, gb.elements).terms.items())
+
+
+def test_the_certificate_passes_no_cell_hint(monkeypatch):
+    """The certificate checks the staircase, so it must not trust it to
+    skip reductions."""
+    gb = staircase_gb(PointSet(PrimeField(3), 3, product(range(3), repeat=3)))
+    calls = []
+    reduce = verify.normal_form
+
+    def recorded(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "normal_form", recorded)
+    assert check_buchberger(gb).passed
+    assert calls and all(call == (2, {}) for call in calls)
 
 
 @st.composite
@@ -138,6 +177,16 @@ def test_engines_agree_and_the_certificate_passes(ps):
         "buchberger",
         "dimension",
     ]
+
+
+@given(grid_pointsets())
+@settings(max_examples=120, deadline=None)
+def test_engines_agree_on_dense_grid_subsets(ps):
+    """Dense slices, where many lifted representatives are read from the
+    slice bases; only a cross-check catches a wrong representative."""
+    gb = staircase_gb(ps)
+    assert gb == bm_gb(ps)
+    assert verify_basis(gb, ps).overall
 
 
 @st.composite

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from pointideal import (
     PointSet,
@@ -14,7 +15,7 @@ from pointideal import (
 from pointideal.poly import lex_key
 
 from reference import evaluate
-from strategies import F13, exponents, polynomials
+from strategies import F13, exponents, pointsets, polynomials
 
 BASIS_A = staircase_gb(PointSet(QQ, 2, [(1, 0), (1, 2), (3, 1), (3, 4)])).elements
 
@@ -191,3 +192,23 @@ class TestDisplay:
     def test_prime_field_display(self):
         f = Polynomial(F13, 2, {(0, 1): 12, (0, 0): 5})
         assert str(f) == "12*X2 + 5"
+
+
+def monic(f):
+    inv = f.field.inv(f.leading_coefficient())
+    return Polynomial(f.field, f.n, {e: f.field.mul(inv, c) for e, c in f.terms.items()})
+
+
+@given(pointsets(fields=(QQ, F13)), st.data())
+def test_internal_constructions_keep_the_invariants(ps, data):
+    """Products, tails, negations, S-polynomials and normal forms are
+    built without the public constructor's checks; each must still have
+    no zero coefficient and the order the public constructor gives."""
+    field, n = ps.field, ps.n
+    p, q = (data.draw(polynomials(field, n, cap=3)) for _ in range(2))
+    results = [p * q, p.tail(), -p, normal_form(p, staircase_gb(ps).elements)]
+    if not (p.is_zero or q.is_zero):
+        results.append(s_polynomial(monic(p), monic(q)))
+    for r in results:
+        assert all(c != field.zero for c in r.terms.values())
+        assert list(r.terms.items()) == list(Polynomial(r.field, r.n, dict(r.terms)).terms.items())
