@@ -72,9 +72,9 @@ def random_pointset(rng: SplitMix64, field, dimension: int, size: int) -> PointS
 class BenchConfig:
     seed: int
     field: object
-    sizes: tuple[int, ...] = (64, 128, 256)
-    dimension: int = 2
-    trials: int = 5
+    sizes: tuple[int, ...]
+    dimension: int
+    trials: int
 
 
 @dataclass

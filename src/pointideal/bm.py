@@ -3,13 +3,15 @@
 Independent of the staircase-induction engine.  Corner candidates are
 taken lex-minimal first, starting from the origin, and each candidate's
 monomial row (its values at the points) is reduced against a row
-echelon form of the rows accepted so far.  Every stored row carries the
-combination of accepted monomials it stands for, and the reduction
-updates the candidate's combination along with its values.  A candidate
-whose row stays independent joins the staircase; one whose row reduces
-to zero is a corner, and its monomial plus that combination is the
-basis element at the corner.  Serves as the oracle the induction engine
-is checked against.
+echelon form of the rows accepted so far.  A candidate's decrements are
+all accepted, so its row is one accepted row times a coordinate column
+(`poly.monomial_row`).  Every stored row carries the combination of
+accepted monomials it stands for, and the reduction updates the
+candidate's combination along with its values.  A candidate whose row
+stays independent joins the staircase; one whose row reduces to zero is
+a corner, and its monomial plus that combination is the basis element
+at the corner.  Serves as the oracle the induction engine is checked
+against.
 """
 
 from __future__ import annotations
@@ -18,20 +20,8 @@ from bisect import insort
 from heapq import heappop, heappush
 
 from .core import GroebnerBasis, PointSet
-from .poly import Exponent, Polynomial, lex_key
+from .poly import Exponent, Polynomial, lex_key, monomial_row
 from .staircase import Staircase
-
-
-def monomial_row(field, ps: PointSet, exponent: Exponent) -> list:
-    """Values of X^exponent at all points, in point order."""
-    row = []
-    for pt in ps.points:
-        v = field.one
-        for a, k in zip(pt, exponent):
-            if k:
-                v = field.mul(v, field.pow(a, k))
-        row.append(v)
-    return row
 
 
 class _Echelon:
@@ -69,11 +59,12 @@ def _discover(ps: PointSet) -> tuple[Staircase, tuple[Polynomial, ...]]:
     candidates.
 
     A candidate beta enters with the augmented row (values of X^beta,
-    zeros, 1 at its own acceptance index).  Independent: beta is
-    accepted, and beta + e_i becomes a candidate once all of its
-    decrements are accepted.  Dependent: X^beta plus the reduced
-    combination of accepted monomials vanishes on the points, its tail
-    lies in the staircase and is lex-smaller than beta, so it is the
+    zeros, 1 at its own acceptance index), a fresh list, since the
+    echelon reduces it in place and `rows` keeps the values of X^beta.
+    Independent: beta is accepted, and beta + e_i becomes a candidate
+    once all of its decrements are accepted.  Dependent: X^beta plus the
+    reduced combination of accepted monomials vanishes on the points, its
+    tail lies in the staircase and is lex-smaller than beta, so it is the
     reduced element at the corner beta.  Candidates come off the heap in
     increasing lex order, since each new one exceeds the beta that made
     it.  A multiple of a rejected corner never becomes a candidate: one
@@ -85,12 +76,13 @@ def _discover(ps: PointSet) -> tuple[Staircase, tuple[Polynomial, ...]]:
     accepted: list[Exponent] = []
     cells: set[Exponent] = set()
     elements: list[Polynomial] = []
+    rows: dict[Exponent, list] = {}
     origin = (0,) * n
     candidates = [(lex_key(origin), origin)]
     while candidates:
         _, beta = heappop(candidates)
         k = len(accepted)
-        row = monomial_row(fld, ps, beta) + [fld.zero] * k + [fld.one]
+        row = monomial_row(fld, ps.points, beta, rows) + [fld.zero] * k + [fld.one]
         pivot = ech.reduce(row)
         if pivot is None:
             terms = {beta: fld.one}

@@ -28,8 +28,15 @@ from .poly import Exponent, Polynomial, lex_key, normal_form
 from .staircase import Staircase, staircase_sum
 
 
+def format_point(field, point) -> str:
+    """A point as its coordinates in the field's own notation, e.g.
+    ``(1/2, 0)``; a one-coordinate point keeps Python's trailing comma."""
+    text = ", ".join(map(field.format, point))
+    return f"({text},)" if len(point) == 1 else f"({text})"
+
+
 class DuplicatePointError(ValueError):
-    def __init__(self, first_index: int, second_index: int, point):
+    def __init__(self, first_index: int, second_index: int, point: str):
         self.first_index = first_index
         self.second_index = second_index
         super().__init__(
@@ -58,7 +65,7 @@ class PointSet:
         seen: dict = {}
         for idx, pt in enumerate(coerced):
             if pt in seen:
-                raise DuplicatePointError(seen[pt], idx, pt)
+                raise DuplicatePointError(seen[pt], idx, format_point(field, pt))
             seen[pt] = idx
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)

@@ -99,9 +99,6 @@ class RationalField:
             raise ZeroDivisionError("zero has no inverse")
         return 1 / a
 
-    def pow(self, a, k: int):
-        return a**k
-
     def is_negative(self, a) -> bool:
         return a < 0
 
@@ -170,9 +167,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("zero has no inverse")
         return pow(a, -1, self.p)
-
-    def pow(self, a, k: int):
-        return pow(a, k, self.p)
 
     def is_negative(self, a) -> bool:
         return False

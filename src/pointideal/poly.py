@@ -40,6 +40,32 @@ def exp_divides(d: Exponent, e: Exponent) -> bool:
     return len(d) == len(e) and all(x <= y for x, y in zip(d, e))
 
 
+def monomial_row(field, points, exponent: Exponent, rows: dict) -> list:
+    """Values of X^exponent at the points, in point order.
+
+    A row is its parent row times a coordinate column: the parent is the
+    exponent with its first nonzero coordinate lowered by one, and the
+    column is that coordinate of each point; the origin's row is all
+    ones.  `rows` maps exponents to rows the caller has had computed for
+    these points.  Every row built here is stored in it, and rows in it
+    are never changed, so a caller that mutates a row must copy it first.
+    The parent chain is walked with a loop, not recursion, since it is
+    as long as the exponent's degree.
+    """
+    chain = []
+    e = exponent
+    while e not in rows and any(e):
+        i = next(i for i, k in enumerate(e) if k)
+        chain.append((e, i))
+        e = e[:i] + (e[i] - 1,) + e[i + 1 :]
+    row = rows.get(e)
+    if row is None:  # e is the origin
+        row = rows[e] = [field.one] * len(points)
+    for e, i in reversed(chain):
+        row = rows[e] = [field.mul(v, pt[i]) for v, pt in zip(row, points)]
+    return row
+
+
 def _descending(field, terms: Mapping[Exponent, object]) -> dict:
     """The nonzero terms, lex-descending."""
     zero = field.zero
@@ -100,8 +126,8 @@ class Polynomial:
         return cls.constant(field, n, field.one)
 
     @classmethod
-    def monomial(cls, field, n: int, exp: Exponent, coeff=None) -> "Polynomial":
-        return cls(field, n, {tuple(exp): field.one if coeff is None else coeff})
+    def monomial(cls, field, n: int, exp: Exponent) -> "Polynomial":
+        return cls(field, n, {tuple(exp): field.one})
 
     # -- structure ---------------------------------------------------------
 

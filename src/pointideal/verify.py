@@ -18,13 +18,14 @@ reducing every pair.
 
 `verify_basis` decides reduced shape and dimension first; both cost
 O(terms).  Only when the shape passes are vanishing and the S-pairs
-checked: then every exponent lies in the staircase or at a corner, so no
-coordinate exceeds the number of staircase cells and the power tables and
-reductions stay bounded by the input's size.  When the shape fails, the
-verdict is already FAIL, and the two checks are reported as skipped
-(`passed` is None) rather than run on exponents the file may make
-arbitrarily large.  The report lists the four checks in the fixed order
-vanishing, reduced shape, S-pairs, dimension.
+checked: then every exponent lies in the staircase or at a corner, so
+vanishing builds at most one row of values per cell and per corner, no
+coordinate exceeds the number of staircase cells, and the reductions
+stay bounded by the input's size.  When the shape fails, the verdict is
+already FAIL, and the two checks are reported as skipped (`passed` is
+None) rather than run on exponents the file may make arbitrarily large.
+The report lists the four checks in the fixed order vanishing, reduced
+shape, S-pairs, dimension.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import GroebnerBasis, PointSet
-from .poly import exp_divides, exp_lcm, lex_key, normal_form, s_polynomial
+from .core import GroebnerBasis, PointSet, format_point
+from .poly import exp_divides, exp_lcm, lex_key, monomial_row, normal_form, s_polynomial
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,8 @@ class VerificationReport:
 
 
 def _check_compatible(gb: GroebnerBasis, ps: PointSet) -> None:
+    if gb.n != ps.n:
+        raise ValueError("basis and points have different dimensions")
     for f in gb.elements:
         if f.n != ps.n:
             raise ValueError("basis and points have different dimensions")
@@ -78,30 +81,25 @@ def _check_compatible(gb: GroebnerBasis, ps: PointSet) -> None:
 def check_vanishing(gb: GroebnerBasis, ps: PointSet) -> CheckResult:
     """Every element evaluates to zero at every point.
 
-    Each point gets one table of coordinate powers, up to the largest
-    exponent of that coordinate in the basis, shared by all elements.
-    Elements are tried in order and, for each, the points in order, so
-    the witness is the first failing (element, point) pair."""
+    Each element is evaluated at all points at once, as the sum of its
+    coefficients times monomial rows (`poly.monomial_row`); one row cache
+    serves every element, so under `verify_basis` at most |D| + #corners
+    rows are built, D the staircase.  Elements are tried in order and,
+    for each, the points in order, so the witness is the first failing
+    (element, point) pair."""
     _check_compatible(gb, ps)
-    fld = ps.field
-    zero, add, mul = fld.zero, fld.add, fld.mul
-    top = [max(k) for k in zip(*(e for f in gb.elements for e in f.terms))]
-    tables = [
-        [[fld.pow(a, k) for k in range(kmax + 1)] for a, kmax in zip(pt, top)]
-        for pt in ps.points
-    ]
+    fld, points = ps.field, ps.points
+    rows: dict = {}
     for f in gb.elements:
-        for pt, table in zip(ps.points, tables):
-            value = zero
-            for e, c in f.terms.items():
-                for powers, k in zip(table, e):
-                    if k:
-                        c = mul(c, powers[k])
-                value = add(value, c)
-            if value != zero:
+        values = [fld.zero] * len(points)
+        for e, c in f.terms.items():
+            row = monomial_row(fld, points, e, rows)
+            values = fld.vec_sub_scaled(values, fld.neg(c), row)  # values + c * row
+        for pt, value in zip(points, values):
+            if value != fld.zero:
                 witness = (
                     f"element with leading exponent {f.leading_exponent()} "
-                    f"evaluates to {fld.format(value)} at {pt}"
+                    f"evaluates to {fld.format(value)} at {format_point(fld, pt)}"
                 )
                 return CheckResult("vanishing", False, witness)
     return CheckResult("vanishing", True)

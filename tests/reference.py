@@ -28,7 +28,8 @@ def evaluate(f: Polynomial, point):
     total = fld.zero
     for e, c in f.terms.items():
         for a, k in zip(point, e):
-            c = fld.mul(c, fld.pow(a, k))
+            for _ in range(k):
+                c = fld.mul(c, a)
         total = fld.add(total, c)
     return total
 
@@ -82,6 +83,12 @@ def reference_normal_form(f: Polynomial, basis) -> Polynomial:
     return Polynomial(fld, f.n, remainder)
 
 
+def _point_text(fld, pt) -> str:
+    """The coordinates in the field's notation, with Python's tuple
+    punctuation: (1/2, 0), and (3,) for one coordinate."""
+    return str(tuple(map(fld.format, pt))).replace("'", "")
+
+
 def reference_check_vanishing(gb, ps) -> CheckResult:
     """Evaluate every element at every point with `evaluate`; report the
     first nonzero value."""
@@ -91,7 +98,7 @@ def reference_check_vanishing(gb, ps) -> CheckResult:
             if value != ps.field.zero:
                 witness = (
                     f"element with leading exponent {f.leading_exponent()} "
-                    f"evaluates to {ps.field.format(value)} at {pt}"
+                    f"evaluates to {ps.field.format(value)} at {_point_text(ps.field, pt)}"
                 )
                 return CheckResult("vanishing", False, witness)
     return CheckResult("vanishing", True)

@@ -30,11 +30,28 @@ def test_each_cell_and_each_corner_is_evaluated_once(ps, monkeypatch):
     rows = []
     evaluate = bm.monomial_row
 
-    def counted(field, points, exponent):
+    def counted(field, points, exponent, cache):
         rows.append(exponent)
-        return evaluate(field, points, exponent)
+        return evaluate(field, points, exponent, cache)
 
     monkeypatch.setattr(bm, "monomial_row", counted)
     gb = bm.bm_gb(ps)
     assert len(rows) == len(gb.staircase) + len(gb.staircase.corners())
     assert set(rows) == gb.staircase.cells | gb.staircase.corners()
+
+
+@pytest.mark.parametrize("ps", SHAPES.values(), ids=SHAPES.keys())
+def test_rows_handed_to_the_echelon_stay_unchanged(ps, monkeypatch):
+    """The echelon reduces rows in place; the cached rows it was handed
+    must still hold the monomials' values when the basis is done."""
+    handed = []
+    evaluate = bm.monomial_row
+
+    def recorded(field, points, exponent, cache):
+        row = evaluate(field, points, exponent, cache)
+        handed.append((row, list(row)))
+        return row
+
+    monkeypatch.setattr(bm, "monomial_row", recorded)
+    bm.bm_gb(ps)
+    assert handed and all(row == copy for row, copy in handed)

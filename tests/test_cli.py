@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pointideal import GroebnerBasis, Polynomial, PrimeField, bench, bm_gb, verify
+from pointideal import GroebnerBasis, Polynomial, bench, bm_gb, verify
 from pointideal.bench import fit_slope
 from pointideal.cli import main
 
@@ -84,6 +84,42 @@ def test_a_basis_file_without_terms_exits_2_with_one_line(tmp_path, capsys, basi
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_a_basis_of_another_dimension_exits_2(tmp_path, capsys):
+    points = write_json(tmp_path / "points.json", {
+        "field": {"type": "prime", "p": 7},
+        "dimension": 3,
+        "points": [["1", "2", "3"]],
+    })
+    basis = write_json(tmp_path / "basis.json", {"staircase": [[0, 0]], "basis": []})
+    assert main(["check", "--points", points, "--basis", basis]) == 2
+    assert capsys.readouterr() == ("", "error: basis and points have different dimensions\n")
+
+
+QQ_POINTS = {
+    "field": {"type": "rational"},
+    "dimension": 2,
+    "points": [["3/2", "1/3"], ["1/2", "0"], ["2", "-1"]],
+}
+
+
+def test_rational_points_print_in_field_notation(tmp_path, capsys):
+    points = write_json(tmp_path / "points.json", QQ_POINTS)
+    gb = basis_of(tmp_path, points)
+    element = next(f for f in gb["basis"] if f["leading"] == [0, 1])
+    term = next(t for t in element["terms"] if t["exp"] == [1, 0])
+    assert term["coeff"] == "-13/3"
+    term["coeff"] = "-10/3"  # the element changes by X1, which is 1/2 at (1/2, 0)
+    basis = write_json(tmp_path / "bad.json", gb)
+    capsys.readouterr()
+    assert main(["check", "--points", points, "--basis", basis]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "vanishing: FAIL (element with leading exponent (0, 1) evaluates to 1/2 at (1/2, 0))"
+    )
+    twice = dict(QQ_POINTS, points=[["1/2", "0"], ["2/4", "0"]])
+    assert main(["gb", "--points", write_json(tmp_path / "twice.json", twice)]) == 2
+    assert capsys.readouterr().err == "error: duplicate point (1/2, 0) at indices 0 and 1\n"
+
+
 def test_check_passes_on_the_engine_output(tmp_path, capsys):
     points = write_json(tmp_path / "points.json", POINTS)
     basis = write_json(tmp_path / "b.json", basis_of(tmp_path, points))
@@ -160,8 +196,8 @@ def test_bench_disagreement_exits_1_and_says_no(capsys, monkeypatch):
 
 def test_check_skips_the_costly_checks_when_the_shape_fails(tmp_path, capsys, monkeypatch):
     # a tail exponent of 10^9 outside the staircase: vanishing would build
-    # power tables up to it and the S-pair check would reduce X1^(10^9)
-    # one step at a time, so both must be skipped, not run
+    # a row for every power of X1 up to it and the S-pair check would reduce
+    # X1^(10^9) one step at a time, so both must be skipped, not run
     points = write_json(tmp_path / "points.json", {
         "field": {"type": "prime", "p": 7},
         "dimension": 2,
@@ -171,20 +207,17 @@ def test_check_skips_the_costly_checks_when_the_shape_fails(tmp_path, capsys, mo
     element = next(f for f in gb["basis"] if f["leading"] == [0, 3])
     element["terms"].append({"exp": [10**9, 1], "coeff": "1"})
     basis = write_json(tmp_path / "huge.json", gb)
-    calls = {"pow": 0, "normal_form": 0}
-    pow_ = PrimeField.pow
+    calls = {"monomial_row": 0, "normal_form": 0}
 
-    def counted_pow(self, a, k):
-        calls["pow"] += 1
-        if calls["pow"] > 100:
-            raise RuntimeError("the certificate's work is not bounded by its input")
-        return pow_(self, a, k)
+    def counted_monomial_row(*args):
+        calls["monomial_row"] += 1
+        raise RuntimeError("the vanishing check ran on a basis without the reduced shape")
 
     def counted_normal_form(*args):
         calls["normal_form"] += 1
         raise RuntimeError("the S-pair check ran on a basis without the reduced shape")
 
-    monkeypatch.setattr(PrimeField, "pow", counted_pow)
+    monkeypatch.setattr(verify, "monomial_row", counted_monomial_row)
     monkeypatch.setattr(verify, "normal_form", counted_normal_form)
     capsys.readouterr()
     report = tmp_path / "report.json"
@@ -198,7 +231,7 @@ def test_check_skips_the_costly_checks_when_the_shape_fails(tmp_path, capsys, mo
         "dimension: PASS",
         "overall: FAIL",
     ]
-    assert calls == {"pow": 0, "normal_form": 0}
+    assert calls == {"monomial_row": 0, "normal_form": 0}
     checks = json.loads(report.read_text(encoding="utf-8"))["checks"]
     assert [c["passed"] for c in checks] == [None, False, None, True]
 

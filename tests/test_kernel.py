@@ -164,6 +164,44 @@ def test_check_vanishing_matches_the_reference_on_mutants(ps, data):
     assert not verify_basis(mutant, ps).overall
 
 
+def parent_chains(exps) -> set:
+    """The exponents and their parents, each lowered in its first nonzero
+    coordinate, down to the origin."""
+    chains = set()
+    for e in exps:
+        chains.add(e)
+        while any(e):
+            i = next(i for i, k in enumerate(e) if k)
+            e = e[:i] + (e[i] - 1,) + e[i + 1 :]
+            chains.add(e)
+    return chains
+
+
+@given(pointsets(fields=(QQ, F7, F13), max_size=12))
+def test_vanishing_builds_rows_for_cells_and_corners_only(ps):
+    """One row cache serves every element; it ends holding the parent
+    chains of the basis terms, which contain every corner and otherwise
+    only cells, so at most |D| + #corners rows.  The bound is not always
+    reached: for the points 0, e1, e2, e1 + e2, e3 of F_7^3 the cell
+    X1*X2 lies on no term's chain."""
+    gb = staircase_gb(ps)
+    caches = []
+    evaluate = verify.monomial_row
+
+    def recorded(field, points, exponent, rows):
+        caches.append(rows)
+        return evaluate(field, points, exponent, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "monomial_row", recorded)
+        assert check_vanishing(gb, ps).passed
+    cache = caches[0]
+    assert all(rows is cache for rows in caches)
+    stairs = gb.staircase
+    assert set(cache) == parent_chains(e for f in gb.elements for e in f.terms)
+    assert stairs.corners() <= set(cache) <= stairs.cells | stairs.corners()
+
+
 @given(pointsets(fields=(QQ, F7, F13), max_size=12))
 @settings(max_examples=150)
 def test_engines_agree_and_the_certificate_passes(ps):

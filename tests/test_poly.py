@@ -12,10 +12,10 @@ from pointideal import (
     s_polynomial,
     staircase_gb,
 )
-from pointideal.poly import lex_key
+from pointideal.poly import lex_key, monomial_row
 
 from reference import evaluate
-from strategies import F13, exponents, pointsets, polynomials
+from strategies import F7, F13, exponents, pointsets, polynomials, prime_scalars, rationals
 
 BASIS_A = staircase_gb(PointSet(QQ, 2, [(1, 0), (1, 2), (3, 1), (3, 4)])).elements
 
@@ -212,3 +212,31 @@ def test_internal_constructions_keep_the_invariants(ps, data):
     for r in results:
         assert all(c != field.zero for c in r.terms.values())
         assert list(r.terms.items()) == list(Polynomial(r.field, r.n, dict(r.terms)).terms.items())
+
+
+@st.composite
+def points_and_exponents(draw):
+    field = draw(st.sampled_from([QQ, F7, F13]))
+    n = draw(st.integers(1, 3))
+    coord = rationals() if field == QQ else prime_scalars(field.p)
+    points = draw(st.lists(st.tuples(*[coord] * n), max_size=6))
+    return field, tuple(points), draw(st.lists(exponents(n, cap=5), min_size=1, max_size=8))
+
+
+@given(points_and_exponents())
+def test_monomial_row_is_the_monomial_at_each_point(drawn):
+    """From a cold cache and from one cache shared by every exponent drawn."""
+    field, points, exps = drawn
+    shared = {}
+    for e in exps:
+        mono = Polynomial.monomial(field, len(e), e)
+        expected = [evaluate(mono, pt) for pt in points]
+        assert monomial_row(field, points, e, {}) == expected
+        assert monomial_row(field, points, e, shared) == expected
+
+
+def test_monomial_row_walks_a_long_parent_chain_without_recursion():
+    points = ((2, 0), (3, 1), (6, 5))
+    rows = {}
+    assert monomial_row(F7, points, (1500, 0), rows) == [pow(a, 1500, 7) for a, _ in points]
+    assert len(rows) == 1501

@@ -65,7 +65,6 @@ FIELD = [
     "neg",
     "one",
     "parse",
-    "pow",
     "sub",
     "vec_scale",
     "vec_sub_scaled",
