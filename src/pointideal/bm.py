@@ -61,6 +61,18 @@ def _discover(ps: PointSet) -> tuple[Staircase, tuple[Polynomial, ...]]:
     A candidate beta enters with the augmented row (values of X^beta,
     zeros, 1 at its own acceptance index), a fresh list, since the
     echelon reduces it in place and `rows` keeps the values of X^beta.
+
+    `rows` keeps a row only while it can still be a parent.  The parent
+    of a nonzero exponent is the exponent lowered in its first axis, its
+    first nonzero coordinate (the origin's is the last axis), so the
+    children of a cell c with first axis a are c + e_i for i <= a.  They
+    come off the heap in increasing lex order, c + e_a last, and once
+    that one is evaluated c's row goes.  A rejected corner's row goes at
+    once, since only accepted cells are parents.  A candidate is pushed
+    when the last of its decrements is accepted, its lex-greatest one,
+    which lowers its first axis; so beta + e_i carries i as its first
+    axis.
+
     Independent: beta is accepted, and beta + e_i becomes a candidate
     once all of its decrements are accepted.  Dependent: X^beta plus the
     reduced combination of accepted monomials vanishes on the points, its
@@ -78,13 +90,17 @@ def _discover(ps: PointSet) -> tuple[Staircase, tuple[Polynomial, ...]]:
     elements: list[Polynomial] = []
     rows: dict[Exponent, list] = {}
     origin = (0,) * n
-    candidates = [(lex_key(origin), origin)]
+    candidates = [(lex_key(origin), origin, n - 1)]
     while candidates:
-        _, beta = heappop(candidates)
+        _, beta, axis = heappop(candidates)
         k = len(accepted)
         row = monomial_row(fld, ps.points, beta, rows) + [fld.zero] * k + [fld.one]
+        top = beta[axis]
+        if top > 1 or (top and axis == n - 1):  # beta is its parent's last child
+            del rows[beta[:axis] + (top - 1,) + beta[axis + 1 :]]
         pivot = ech.reduce(row)
         if pivot is None:
+            del rows[beta]
             terms = {beta: fld.one}
             terms.update(zip(accepted, row[width : width + k]))
             elements.append(Polynomial(fld, n, terms))
@@ -97,7 +113,7 @@ def _discover(ps: PointSet) -> tuple[Staircase, tuple[Polynomial, ...]]:
             if all(
                 b[j] == 0 or b[:j] + (b[j] - 1,) + b[j + 1 :] in cells for j in range(n)
             ):
-                heappush(candidates, (lex_key(b), b))
+                heappush(candidates, (lex_key(b), b, i))
     return Staircase(n, cells), tuple(elements)
 
 

@@ -15,16 +15,20 @@ previously finished elements reduces every tail into the staircase.
 A representative whose leading exponent is a corner of its slice
 staircase is a stored element of the slice basis and is read, not
 recomputed.  Both divisions send staircase cells, which no leading
-exponent divides, straight to the remainder.
+exponent divides, straight to the remainder.  Each division divides by
+a `poly.Reducer` set up once: one per level, grown by each finished
+element, and one per slice basis, built the first time a representative
+of that slice has to be computed; each packs its staircase cells once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 from .interp import char_poly_family, univariate_vanishing, vanishing_coeffs
-from .poly import Exponent, Polynomial, lex_key, normal_form
+from .poly import Exponent, Polynomial, Reducer, lex_key, normal_form
 from .staircase import Staircase, staircase_sum
 
 
@@ -161,6 +165,12 @@ class GroebnerBasis:
         staircase cell."""
         return len(self.staircase)
 
+    @cached_property
+    def _reducer(self) -> Reducer:
+        """The elements set up for division, built on first use; the
+        engine reduces slice representatives against it."""
+        return Reducer(self.elements)
+
 
 def slice_representative(beta_hat: Exponent, slice_gb: GroebnerBasis) -> Polynomial:
     """The tail of the slice representative at beta_hat.
@@ -182,7 +192,7 @@ def slice_representative(beta_hat: Exponent, slice_gb: GroebnerBasis) -> Polynom
         if f.leading_exponent() == beta_hat:
             return f.tail()
     mono = Polynomial.monomial(slice_gb.field, slice_gb.n, beta_hat)
-    return -normal_form(mono, slice_gb.elements, slice_gb.staircase.cells)
+    return -normal_form(mono, slice_gb._reducer, slice_gb.staircase.cells)
 
 
 def split_first_coordinates(beta: Exponent, slice_gbs) -> tuple[list, list]:
@@ -257,7 +267,7 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
     stairs = staircase_sum(
         [gb.staircase.prepend_zero() for _, gb in slice_gbs], ps.n
     )
-    built: list[Polynomial] = []
+    built = Reducer()
     for corner in stairs.sorted_corners():
         f = normal_form(build_phi(fld, corner, slice_gbs, stairs), built, stairs.cells)
         if f.is_zero or f.leading_exponent() != corner:
@@ -267,5 +277,5 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
             raise AssertionError(
                 f"tail exponents {stray} escaped the staircase at corner {corner}"
             )
-        built.append(f)
-    return GroebnerBasis(stairs, tuple(built))
+        built.add(f)
+    return GroebnerBasis(stairs, tuple(built.elements))

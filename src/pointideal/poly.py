@@ -8,12 +8,19 @@ significant variable.
 Coefficients are exact field scalars (see :mod:`pointideal.field`).
 Terms are stored with no zero coefficients and no duplicate exponents,
 ordered descending, so the leading term is always the first one.
+
+Division by a monic basis (`normal_form`) is the one reduction loop of
+the package, shared by the staircase engine and the certificate.  It
+runs in a `Reducer`, which holds the basis on packed exponents, one
+integer per exponent whose integer order is the lex order, and is set
+up once per basis; only the remainder goes back to tuples.
 """
 
 from __future__ import annotations
 
-import heapq
-from operator import add as add_, le as le_, neg, sub as sub_
+from bisect import bisect_left
+from heapq import heappop, heappush
+from operator import add as add_, itemgetter, lshift
 from typing import Mapping
 
 Exponent = tuple[int, ...]
@@ -237,24 +244,180 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _heap_key(e: Exponent):
-    # min-heap on this key pops the lex-greatest exponent first
-    return tuple(map(neg, reversed(e)))
+def _packed(pack, b: Polynomial) -> tuple[int, list]:
+    """A monic element as its packed leading exponent and packed tail."""
+    (lead, _), *tail = b.terms.items()
+    return pack(lead), [(pack(t), c) for t, c in tail]
 
 
-def _check_reducers(basis):
-    seen = set()
-    for b in basis:
+class Reducer:
+    """Monic basis elements set up for division: the one reduction loop
+    of the package (`reduce`, called through `normal_form`).
+
+    Build it once per basis and grow it with `add`; the checks run per
+    element as it enters (monic, a leading exponent no other element
+    has, the dimension and field of the others).  `elements` holds the
+    polynomials lex-ascending by leading exponent.
+
+    **Packed exponents.**  An element is kept as its packed leading
+    exponent and its packed tail, the elements sorted by packed leading
+    exponent.  With field width k, the exponent e packs to the integer
+    sum of e_i * 2^(k*(i-1)), so X_n sits in the high bits.  While every
+    coordinate is below 2^(k-1), the top bit of each field (the guard
+    bit) is clear and:
+
+    - integer order is the lex order, so the heap holds plain ints;
+    - X^e * X^d packs to e + d, one integer addition, with no carry;
+    - with G the guard bits, X^l divides X^e exactly when
+      ((e | G) - l) & G == G: a field where e_i >= l_i keeps its guard
+      bit, one where e_i < l_i clears it, and no field borrows from the
+      next, since e_i + 2^(k-1) - l_i >= 0.
+
+    Only the remainder is unpacked back to tuples.
+
+    **The width never carries.**  Let B exceed every coordinate of f and
+    of every element (leading exponent and tail), and let
+    w_B(e) = sum of e_i * B^(i-1).  If t <lex l and every coordinate of t
+    is below B, then w_B(t) < w_B(l): at the highest coordinate j where
+    they differ, t_j < l_j, and the lower coordinates of t add at most
+    B^(j-1) - 1 to w_B(t).  A reduction step replaces a term e, divisible
+    by the leading exponent l, with the terms t + e - l for t in the
+    tail, and w_B is additive, so w_B(t + e - l) < w_B(e): w_B strictly
+    falls along every chain of steps.  Every term of f has w_B at most
+    w_B(lt f), by the same inequality, so every term that division ever
+    holds has w_B at most w_B(lt f), and each of its coordinates is at
+    most its w_B.  Hence with k = bitlen(max(w_B(lt f), B)) + 1 every
+    coordinate of every term, leading exponent and tail is below
+    2^(k-1).  Since w_B(lt f) <= B^n - 1 < 2^(n * bitlen(B)), the width
+    n * bitlen(B) + 1 is at least that k.  The reducer uses this larger
+    width, which depends on B alone: `add` and `reduce` take B from the
+    elements and f, and repack only when the bit length of B grows.  So
+    the width needs no setting, only grows, and changes a few times in
+    a reducer's life, and a caller passing the same cells on every call
+    packs them about once.
+    """
+
+    __slots__ = ("n", "elements", "_bound", "_width", "_guard", "_reducers", "_cells")
+
+    def __init__(self, basis=()):
+        self.n = None
+        self.elements: list[Polynomial] = []
+        self._bound = 1  # exceeds every coordinate of every element
+        self._width = 0
+        self._guard = 0
+        self._reducers: list[tuple[int, list]] = []  # (packed lead, packed tail), ascending
+        self._cells: tuple = (None, {})  # a cell set and its packed form
+        for b in basis:
+            self.add(b)
+
+    def _shifts(self) -> range:
+        return range(0, self._width * self.n, self._width)
+
+    def _packer(self):
+        shifts = self._shifts()
+        return lambda e: sum(map(lshift, e, shifts))
+
+    def _widen(self, width: int) -> None:
+        """Repack every element at the larger field width."""
+        self._width = width
+        self._guard = sum(1 << (s + width - 1) for s in self._shifts())
+        pack = self._packer()
+        self._reducers = [_packed(pack, b) for b in self.elements]
+        self._cells = (None, {})
+
+    def _fit(self, bound: int) -> None:
+        """Widen to the width that coordinates below `bound` need (see
+        the class docstring), unless the width in use is already as large."""
+        width = self.n * bound.bit_length() + 1
+        if width > self._width:
+            self._widen(width)
+
+    def add(self, b: Polynomial) -> None:
+        """Make b one of the elements divided by."""
         if b.is_zero or not b.is_monic():
             raise ValueError("normal form requires monic basis elements")
-        le = b.leading_exponent()
-        if le in seen:
-            raise ValueError(f"duplicate leading exponent {le} in basis")
-        seen.add(le)
+        if self.elements:
+            self.elements[0]._check_compatible(b)
+        else:
+            self.n = b.n
+        self._bound = max(self._bound, max(map(max, b.terms)) + 1)
+        self._fit(self._bound)
+        packed = _packed(self._packer(), b)
+        i = bisect_left(self._reducers, packed[0], key=itemgetter(0))
+        if i < len(self._reducers) and self._reducers[i][0] == packed[0]:
+            raise ValueError(f"duplicate leading exponent {b.leading_exponent()} in basis")
+        self._reducers.insert(i, packed)
+        self.elements.insert(i, b)
+
+    def _packed_cells(self, cells) -> dict:
+        """`cells` packed at the current width, each mapped to its
+        exponent.  A frozenset's packing is kept until the width or the
+        set changes, so a caller passing the same staircase on every call
+        packs it once per width.  A cell with a coordinate past the width
+        is dropped: no term can equal it."""
+        seen, packed = self._cells
+        if cells is not seen:
+            limit = 1 << (self._width - 1)
+            pack = self._packer()
+            packed = {pack(c): c for c in cells if max(c) < limit}
+            if isinstance(cells, frozenset):
+                self._cells = (cells, packed)
+        return packed
+
+    def reduce(self, f: Polynomial, cells=frozenset()) -> Polynomial:
+        """The remainder of f; see `normal_form`."""
+        if not self.elements:
+            return f
+        f._check_compatible(self.elements[0])
+        if f.is_zero:
+            return f
+        self._fit(max(self._bound, max(map(max, f.terms)) + 1))
+        guard, reducers, shifts = self._guard, self._reducers, self._shifts()
+        mask = (1 << self._width) - 1
+        cells = self._packed_cells(cells)
+        fld = f.field
+        zero, sub, mul = fld.zero, fld.sub, fld.mul
+        work = {sum(map(lshift, e, shifts)): c for e, c in f.terms.items()}
+        heap = [-e for e in work]  # ascending: the terms are lex-descending
+        remainder: dict[Exponent, object] = {}
+        while heap:
+            e = -heappop(heap)
+            c = work.pop(e, None)
+            if c is None:  # stale: the term cancelled after it was pushed
+                continue
+            cell = cells.get(e)
+            if cell is not None:
+                remainder[cell] = c
+                continue
+            guarded = e | guard
+            for lead, tail in reducers:
+                if (guarded - lead) & guard == guard:
+                    # the leading term cancels c exactly (the element is monic)
+                    shift = e - lead
+                    for t, tc in tail:
+                        t += shift
+                        old = work.get(t)
+                        if old is None:
+                            work[t] = sub(zero, mul(c, tc))
+                            heappush(heap, -t)
+                        else:
+                            v = sub(old, mul(c, tc))
+                            if v == zero:
+                                del work[t]
+                            else:
+                                work[t] = v
+                    break
+            else:
+                remainder[tuple([(e >> s) & mask for s in shifts])] = c
+        return Polynomial._trusted(fld, f.n, remainder, ordered=True)
 
 
 def normal_form(f: Polynomial, basis, cells=frozenset()) -> Polynomial:
     """Remainder of multivariate division of f by a monic basis.
+
+    `basis` is a `Reducer` or an iterable of polynomials, which is set
+    up as a fresh `Reducer`; a caller dividing many polynomials by one
+    basis builds the `Reducer` once and passes it.
 
     Deterministic: always cancels the lex-greatest reducible term, using
     the basis element with the lex-smallest leading exponent among those
@@ -268,6 +431,7 @@ def normal_form(f: Polynomial, basis, cells=frozenset()) -> Polynomial:
     off, never returns.  A heap entry whose exponent is no longer in the
     working set is therefore stale, and is skipped.  The remainder is
     collected in the order the heap yields it, already lex-descending.
+    The terms are handled as packed integers throughout (see `Reducer`).
 
     `cells` is a hint: exponents known to be divisible by no leading
     exponent of the basis, which go to the remainder without the scan
@@ -277,46 +441,8 @@ def normal_form(f: Polynomial, basis, cells=frozenset()) -> Polynomial:
     basis, and the remainder is the same term for term.  The certificate
     never passes it: the staircase is part of what it checks.
     """
-    basis = list(basis)
-    _check_reducers(basis)
-    for b in basis:
-        f._check_compatible(b)
-    reducers = sorted(
-        ((b.leading_exponent(), list(b.terms.items())[1:]) for b in basis),
-        key=lambda kv: lex_key(kv[0]),
-    )
-    fld = f.field
-    zero, sub, mul = fld.zero, fld.sub, fld.mul
-    work = dict(f.terms)
-    heap = [(_heap_key(e), e) for e in work]
-    heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
-    remainder: dict[Exponent, object] = {}
-    while heap:
-        e = heappop(heap)[1]
-        if e not in work:
-            continue
-        c = work.pop(e)
-        if e in cells:
-            remainder[e] = c
-            continue
-        for le, tail in reducers:
-            if all(map(le_, le, e)):
-                # the leading term cancels c exactly (the reducer is monic)
-                shift = tuple(map(sub_, e, le))
-                for te, tc in tail:
-                    ne = tuple(map(add_, te, shift))
-                    nv = sub(work.get(ne, zero), mul(c, tc))
-                    if nv == zero:
-                        work.pop(ne, None)
-                    else:
-                        if ne not in work:
-                            heappush(heap, (_heap_key(ne), ne))
-                        work[ne] = nv
-                break
-        else:
-            remainder[e] = c
-    return Polynomial._trusted(fld, f.n, remainder, ordered=True)
+    reducer = basis if isinstance(basis, Reducer) else Reducer(basis)
+    return reducer.reduce(f, cells)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

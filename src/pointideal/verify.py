@@ -14,16 +14,19 @@ with strictly smaller lcm (the chain criterion: Buchberger, "A criterion
 for detecting unnecessary reductions in the construction of Groebner
 bases", EUROSAM 1979; Gebauer and Moeller, "On an installation of
 Buchberger's algorithm", JSC 6, 1988), so it reaches the same verdict as
-reducing every pair.
+reducing every pair.  It sets the basis up for division once (one
+`poly.Reducer`) and divides each kept S-polynomial by it.
 
 `verify_basis` decides reduced shape and dimension first; both cost
 O(terms).  Only when the shape passes are vanishing and the S-pairs
 checked: then every exponent lies in the staircase or at a corner, so
 vanishing builds at most one row of values per cell and per corner, no
 coordinate exceeds the number of staircase cells, and the reductions
-stay bounded by the input's size.  When the shape fails, the verdict is
-already FAIL, and the two checks are reported as skipped (`passed` is
-None) rather than run on exponents the file may make arbitrarily large.
+stay bounded by the input's size: a packed coordinate takes about n
+times log2 of that number of bits (see `poly.Reducer`).  When the shape
+fails, the verdict is already FAIL, and the two checks are reported as
+skipped (`passed` is None) rather than run on exponents the file may
+make arbitrarily large.
 The report lists the four checks in the fixed order vanishing, reduced
 shape, S-pairs, dimension.
 """
@@ -34,7 +37,15 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import GroebnerBasis, PointSet, format_point
-from .poly import exp_divides, exp_lcm, lex_key, monomial_row, normal_form, s_polynomial
+from .poly import (
+    Reducer,
+    exp_divides,
+    exp_lcm,
+    lex_key,
+    monomial_row,
+    normal_form,
+    s_polynomial,
+)
 
 
 @dataclass(frozen=True)
@@ -166,7 +177,7 @@ def check_buchberger(gb: GroebnerBasis) -> CheckResult:
     reduces to zero against the basis.  A reduction to zero is a standard
     representation, so this holds exactly when the basis is a Groebner
     basis, with the same verdict as reducing every pair; a failure names
-    the first failing kept pair."""
+    the first failing kept pair.  One `Reducer` serves every pair."""
     elems = gb.elements
     leading = []
     for f in elems:
@@ -175,9 +186,10 @@ def check_buchberger(gb: GroebnerBasis) -> CheckResult:
         leading.append(f.leading_exponent())
     if len(set(leading)) != len(elems):
         return CheckResult("buchberger", False, "duplicate leading exponents")
+    reducer = Reducer(elems)
     for i, j in _chain_pairs(leading):
         s = s_polynomial(elems[i], elems[j])
-        if not normal_form(s, elems).is_zero:
+        if not normal_form(s, reducer).is_zero:
             witness = (
                 f"S-polynomial of the pair {leading[i]}, "
                 f"{leading[j]} does not reduce to zero"

@@ -14,16 +14,18 @@ from pointideal import (
     PrimeField,
     QQ,
     Staircase,
+    bm,
     bm_gb,
     check_buchberger,
     check_vanishing,
+    core,
     normal_form,
     s_polynomial,
     staircase_gb,
     verify,
     verify_basis,
 )
-from pointideal.poly import exp_lcm, exp_sub, lex_key
+from pointideal.poly import Reducer, exp_lcm, exp_sub, lex_key
 
 from reference import (
     reference_check_buchberger,
@@ -341,3 +343,244 @@ def test_two_variable_bases_reduce_consecutive_corners_only(ps):
 def test_s_pair_reductions_never_exceed_the_pair_count(gb):
     c = len(gb.elements)
     assert s_pair_reductions(gb)[0] <= c * (c - 1) // 2
+
+
+# -- the packed reduction kernel ----------------------------------------------
+
+ALL_FIELDS = st.sampled_from([QQ, F7, F13])
+
+
+@st.composite
+def reducer_problems(draw):
+    """A monic basis and several polynomials to divide by it in turn, so
+    one `Reducer` serves calls that may each need a wider packing."""
+    field = draw(ALL_FIELDS)
+    n = draw(st.integers(1, 3))
+    basis = draw(monic_bases(field, n))
+    caps = st.sampled_from([2, 4, 9, 40])
+    fs = [draw(polynomials(field, n, cap=draw(caps), max_terms=6)) for _ in range(3)]
+    return basis, fs
+
+
+@given(reducer_problems())
+@settings(max_examples=200)
+def test_the_packed_kernel_matches_the_reference(problem):
+    basis, fs = problem
+    reducer = Reducer(basis)
+    for f in fs:
+        expected = list(reference_normal_form(f, basis).terms.items())
+        assert list(normal_form(f, reducer).terms.items()) == expected
+        assert list(normal_form(f, basis).terms.items()) == expected
+
+
+def xs(field, n, *exponents_and_coefficients):
+    """The polynomial with the given (exponent, coefficient) terms."""
+    return Polynomial(field, n, dict(exponents_and_coefficients))
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F13], ids=["QQ", "F7", "F13"])
+def test_the_width_grows_along_a_substitution_chain(field):
+    """With X2 - X1^5 and X3 - X2^5, X3^m reduces to X1^(25m), so a
+    larger m needs a wider packing than the calls before it."""
+    one = field.one
+    minus = field.neg(one)
+    basis = [
+        xs(field, 3, ((0, 1, 0), one), ((5, 0, 0), minus)),
+        xs(field, 3, ((0, 0, 1), one), ((0, 5, 0), minus)),
+    ]
+    reducer = Reducer(basis)
+    widths = []
+    for m in (1, 3, 20, 150, 2):
+        f = xs(field, 3, ((0, 0, m), one), ((0, m, 0), one), ((1, 0, 0), one))
+        assert normal_form(f, reducer) == reference_normal_form(f, basis)
+        assert normal_form(f, reducer).leading_exponent() == (25 * m, 0, 0)
+        widths.append(reducer._width)
+    assert widths == sorted(widths) and widths[0] < widths[-2]
+
+
+def test_a_coordinate_past_2_to_the_40():
+    big = 2**40 + 3
+    basis = [xs(F13, 2, ((0, 1), 1), ((5, 0), 12))]  # X2 - X1^5
+    reducer = Reducer(basis)
+    small = xs(F13, 2, ((0, 2), 1), ((1, 0), 1))
+    assert normal_form(small, reducer) == reference_normal_form(small, basis)
+    for f in (
+        xs(F13, 2, ((big, 0), 1), ((0, 3), 2)),  # the huge term is irreducible
+        xs(F13, 2, ((big, 1), 1), ((0, 3), 2)),
+        small,
+    ):
+        ours = normal_form(f, reducer)
+        assert list(ours.terms.items()) == list(reference_normal_form(f, basis).terms.items())
+    assert normal_form(xs(F13, 2, ((big, 1), 1)), reducer) == xs(F13, 2, ((big + 5, 0), 1))
+
+
+def test_a_cell_past_the_width_cannot_stand_for_another_exponent():
+    """At a width of k bits, (2^k, 0) would pack like (0, 1), which is
+    reducible; the hint holds such cells for every small k."""
+    basis = [xs(QQ, 2, ((0, 1), 1), ((1, 0), -1))]  # X2 - X1
+    f = xs(QQ, 2, ((0, 2), 1), ((0, 1), 1))
+    ours = normal_form(f, basis, frozenset((2**k, 0) for k in range(1, 16)))
+    assert ours == reference_normal_form(f, basis) == xs(QQ, 2, ((2, 0), 1), ((1, 0), 1))
+
+
+@st.composite
+def bases_in_two_orders(draw):
+    field = draw(ALL_FIELDS)
+    n = draw(st.integers(1, 3))
+    basis = draw(monic_bases(field, n, cap=draw(st.sampled_from([3, 12])), max_size=6))
+    return basis, draw(st.permutations(basis)), draw(polynomials(field, n, cap=6))
+
+
+@given(bases_in_two_orders())
+def test_a_reducer_grown_by_add_equals_one_built_at_once(drawn):
+    basis, order, f = drawn
+    grown = Reducer()
+    for b in order:
+        grown.add(b)
+    at_once = Reducer(basis)
+    assert grown.elements == at_once.elements
+    assert [lex_key(b.leading_exponent()) for b in grown.elements] == sorted(
+        lex_key(b.leading_exponent()) for b in basis
+    )
+    assert (grown._width, grown._reducers) == (at_once._width, at_once._reducers)
+    assert list(normal_form(f, grown).terms.items()) == list(
+        normal_form(f, at_once).terms.items()
+    )
+
+
+def test_a_reducer_checks_each_element_as_it_enters():
+    reducer = Reducer([xs(QQ, 2, ((1, 0), 1))])
+    with pytest.raises(ValueError, match="monic"):
+        reducer.add(xs(QQ, 2, ((0, 1), 2)))
+    with pytest.raises(ValueError, match="duplicate"):
+        reducer.add(xs(QQ, 2, ((1, 0), 1), ((0, 0), 1)))
+    with pytest.raises(ValueError, match="dimension"):
+        reducer.add(xs(QQ, 3, ((0, 0, 1), 1)))
+    with pytest.raises(ValueError, match="field"):
+        reducer.add(xs(F7, 2, ((0, 1), 1)))
+    with pytest.raises(ValueError, match="dimension"):
+        normal_form(xs(QQ, 3, ((0, 0, 1), 1)), reducer)
+    assert len(reducer.elements) == 1
+
+
+# -- set-up counts: one reducer per basis, not one per division ---------------
+
+
+def count_reducers(monkeypatch) -> list:
+    built = []
+    init = Reducer.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Reducer, "__init__", counted)
+    return built
+
+
+def test_the_certificate_builds_one_reducer_per_basis(monkeypatch):
+    gb = staircase_gb(PointSet(PrimeField(3), 3, product(range(3), repeat=3)))
+    built = count_reducers(monkeypatch)
+    divided_by = []
+    reduce = verify.normal_form
+
+    def recorded(f, basis):
+        divided_by.append(basis)
+        return reduce(f, basis)
+
+    monkeypatch.setattr(verify, "normal_form", recorded)
+    assert check_buchberger(gb).passed
+    assert len(divided_by) > 1 and len(built) == 1
+    assert all(basis is built[0] for basis in divided_by)
+
+
+@pytest.mark.parametrize(
+    "ps, reduces",
+    [
+        (PointSet(PrimeField(3), 3, product(range(3), repeat=3)), False),
+        (PointSet(PrimeField(5), 3, [p for p in product(range(5), repeat=3) if sum(p) % 3]), True),
+        (PointSet(QQ, 2, [(1, 0), (1, 2), (2, 3), (3, 1), (3, 4)]), True),
+    ],
+    ids=["grid F_3^3", "sparse F_5^3", "five points"],
+)
+def test_the_engine_builds_one_reducer_per_level_and_per_reduced_slice(ps, reduces, monkeypatch):
+    """A level is a `staircase_gb` call that lifts corners (two or more
+    variables); a slice counts when `slice_representative` divides by its
+    basis at least once, however many corners ask.  On a full grid every
+    representative is a stored slice element, so no slice counts."""
+    built = count_reducers(monkeypatch)
+    levels, slices_reduced, divisions = [], {}, []  # slices by id, kept alive
+    engine, represent, reduce = core.staircase_gb, core.slice_representative, core.normal_form
+
+    def level(ps):
+        if ps.n >= 2 and ps.points:
+            levels.append(ps)
+        return engine(ps)
+
+    def representative(beta_hat, slice_gb):
+        before = len(divisions)
+        tail = represent(beta_hat, slice_gb)
+        if len(divisions) > before:
+            slices_reduced[id(slice_gb)] = slice_gb
+        return tail
+
+    def division(f, basis, cells):
+        divisions.append(basis)
+        return reduce(f, basis, cells)
+
+    monkeypatch.setattr(core, "staircase_gb", level)
+    monkeypatch.setattr(core, "slice_representative", representative)
+    monkeypatch.setattr(core, "normal_form", division)
+    gb = core.staircase_gb(ps)
+    assert gb == bm_gb(ps)
+    assert bool(slices_reduced) == reduces
+    assert len(built) == len(levels) + len(slices_reduced)
+    assert all(isinstance(basis, Reducer) for basis in divisions)
+    assert {id(basis) for basis in divisions} == {id(r) for r in built}
+
+
+# -- the oracle's row cache ----------------------------------------------------
+
+
+def first_axis(e) -> int:
+    return next((i for i, k in enumerate(e) if k), len(e) - 1)
+
+
+def lowered(e, i):
+    return e[:i] + (e[i] - 1,) + e[i + 1 :]
+
+
+def raised(e, i):
+    return e[:i] + (e[i] + 1,) + e[i + 1 :]
+
+
+@given(st.one_of(pointsets(fields=(QQ, F7, F13), max_size=12), grid_pointsets(max_size=20)))
+@settings(deadline=None)
+def test_oracle_rows_come_from_cached_parents_and_are_freed(ps):
+    """Each row is its cached parent's row times a column: the call adds
+    exactly one row.  A corner's row is dropped at once, and a cell's
+    once its last child, cell + e_j for j its first axis, has been
+    evaluated; so what is left at the end is the rows of cells whose
+    last child never came up."""
+    evaluated, caches = [], []
+    evaluate = bm.monomial_row
+
+    def recorded(field, points, exponent, rows):
+        if any(exponent):
+            assert lowered(exponent, first_axis(exponent)) in rows
+        size = len(rows)
+        row = evaluate(field, points, exponent, rows)
+        assert len(rows) == size + 1
+        evaluated.append(exponent)
+        caches.append(rows)
+        return row
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bm, "monomial_row", recorded)
+        gb = bm.bm_gb(ps)
+    cache = caches[0]
+    assert all(rows is cache for rows in caches)
+    stairs = gb.staircase
+    seen = set(evaluated)
+    assert not set(cache) & stairs.corners()
+    assert set(cache) == {c for c in stairs.cells if raised(c, first_axis(c)) not in seen}
