@@ -42,7 +42,7 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         sizes = tuple(int(s) for s in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}") from exc
-    if not sizes or any(s < 1 for s in sizes):
+    if not sizes or any(s < 1 for s in sizes) or len(set(sizes)) < len(sizes):
         raise argparse.ArgumentTypeError(f"bad size list {text!r}")
     return sizes
 

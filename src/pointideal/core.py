@@ -14,11 +14,11 @@ previously finished elements reduces every tail into the staircase.
 
 A representative whose leading exponent is a corner of its slice
 staircase is a stored element of the slice basis and is read, not
-recomputed.  Both divisions send staircase cells, which no leading
-exponent divides, straight to the remainder.  Each division divides by
-a `poly.Reducer` set up once: one per level, grown by each finished
-element, and one per slice basis, built the first time a representative
-of that slice has to be computed; each packs its staircase cells once.
+recomputed.  Each division divides by a `poly.Reducer` set up once per
+level and grown by each finished element.  The basis a level returns
+carries that reducer, so a slice basis of two or more variables is
+divided by the reducer it was built in; a one-variable slice basis
+builds its reducer the first time a representative has to be computed.
 """
 
 from __future__ import annotations
@@ -167,8 +167,9 @@ class GroebnerBasis:
 
     @cached_property
     def _reducer(self) -> Reducer:
-        """The elements set up for division, built on first use; the
-        engine reduces slice representatives against it."""
+        """The elements set up for division: the reducer `staircase_gb`
+        built them in, or one built on first use for a basis no level
+        built.  The engine reduces slice representatives against it."""
         return Reducer(self.elements)
 
 
@@ -183,8 +184,9 @@ def slice_representative(beta_hat: Exponent, slice_gb: GroebnerBasis) -> Polynom
 
     When beta_hat is a corner of the slice staircase, the representative
     is the slice basis element led by beta_hat, and its tail is read
-    from it.  Otherwise the normal form is computed, with the slice
-    staircase as the reducer-free cells (see `normal_form`)."""
+    from it.  Otherwise the normal form is computed by the slice basis's
+    reducer, the one its level built it in when it has two or more
+    variables."""
     beta_hat = tuple(beta_hat)
     if beta_hat in slice_gb.staircase:
         raise ValueError(f"{beta_hat} lies inside the staircase")
@@ -192,7 +194,7 @@ def slice_representative(beta_hat: Exponent, slice_gb: GroebnerBasis) -> Polynom
         if f.leading_exponent() == beta_hat:
             return f.tail()
     mono = Polynomial.monomial(slice_gb.field, slice_gb.n, beta_hat)
-    return -normal_form(mono, slice_gb._reducer, slice_gb.staircase.cells)
+    return -normal_form(mono, slice_gb._reducer)
 
 
 def split_first_coordinates(beta: Exponent, slice_gbs) -> tuple[list, list]:
@@ -255,7 +257,9 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
     already the final element: its leading exponent is the corner and
     every tail exponent lies inside the staircase, which the two
     assertions below enforce, so it equals the corner monomial minus its
-    normal form against the finished basis.
+    normal form against the finished basis.  The returned basis carries
+    the level's reducer, which divides slice representatives one level
+    up.
     """
     fld = ps.field
     if not ps.points:
@@ -269,7 +273,7 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
     )
     built = Reducer()
     for corner in stairs.sorted_corners():
-        f = normal_form(build_phi(fld, corner, slice_gbs, stairs), built, stairs.cells)
+        f = normal_form(build_phi(fld, corner, slice_gbs, stairs), built)
         if f.is_zero or f.leading_exponent() != corner:
             raise AssertionError(f"reduced lift lost its leading exponent {corner}")
         stray = [e for e in islice(f.terms, 1, None) if e not in stairs.cells]
@@ -278,4 +282,6 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
                 f"tail exponents {stray} escaped the staircase at corner {corner}"
             )
         built.add(f)
-    return GroebnerBasis(stairs, tuple(built.elements))
+    gb = GroebnerBasis(stairs, tuple(built.elements))
+    object.__setattr__(gb, "_reducer", built)
+    return gb

@@ -106,6 +106,8 @@ def _load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def load_pointset(path) -> PointSet:

@@ -293,11 +293,10 @@ class Reducer:
     width, which depends on B alone: `add` and `reduce` take B from the
     elements and f, and repack only when the bit length of B grows.  So
     the width needs no setting, only grows, and changes a few times in
-    a reducer's life, and a caller passing the same cells on every call
-    packs them about once.
+    a reducer's life.
     """
 
-    __slots__ = ("n", "elements", "_bound", "_width", "_guard", "_reducers", "_cells")
+    __slots__ = ("n", "elements", "_bound", "_width", "_guard", "_reducers")
 
     def __init__(self, basis=()):
         self.n = None
@@ -306,7 +305,6 @@ class Reducer:
         self._width = 0
         self._guard = 0
         self._reducers: list[tuple[int, list]] = []  # (packed lead, packed tail), ascending
-        self._cells: tuple = (None, {})  # a cell set and its packed form
         for b in basis:
             self.add(b)
 
@@ -323,7 +321,6 @@ class Reducer:
         self._guard = sum(1 << (s + width - 1) for s in self._shifts())
         pack = self._packer()
         self._reducers = [_packed(pack, b) for b in self.elements]
-        self._cells = (None, {})
 
     def _fit(self, bound: int) -> None:
         """Widen to the width that coordinates below `bound` need (see
@@ -349,22 +346,7 @@ class Reducer:
         self._reducers.insert(i, packed)
         self.elements.insert(i, b)
 
-    def _packed_cells(self, cells) -> dict:
-        """`cells` packed at the current width, each mapped to its
-        exponent.  A frozenset's packing is kept until the width or the
-        set changes, so a caller passing the same staircase on every call
-        packs it once per width.  A cell with a coordinate past the width
-        is dropped: no term can equal it."""
-        seen, packed = self._cells
-        if cells is not seen:
-            limit = 1 << (self._width - 1)
-            pack = self._packer()
-            packed = {pack(c): c for c in cells if max(c) < limit}
-            if isinstance(cells, frozenset):
-                self._cells = (cells, packed)
-        return packed
-
-    def reduce(self, f: Polynomial, cells=frozenset()) -> Polynomial:
+    def reduce(self, f: Polynomial) -> Polynomial:
         """The remainder of f; see `normal_form`."""
         if not self.elements:
             return f
@@ -374,7 +356,6 @@ class Reducer:
         self._fit(max(self._bound, max(map(max, f.terms)) + 1))
         guard, reducers, shifts = self._guard, self._reducers, self._shifts()
         mask = (1 << self._width) - 1
-        cells = self._packed_cells(cells)
         fld = f.field
         zero, sub, mul = fld.zero, fld.sub, fld.mul
         work = {sum(map(lshift, e, shifts)): c for e, c in f.terms.items()}
@@ -384,10 +365,6 @@ class Reducer:
             e = -heappop(heap)
             c = work.pop(e, None)
             if c is None:  # stale: the term cancelled after it was pushed
-                continue
-            cell = cells.get(e)
-            if cell is not None:
-                remainder[cell] = c
                 continue
             guarded = e | guard
             for lead, tail in reducers:
@@ -412,7 +389,7 @@ class Reducer:
         return Polynomial._trusted(fld, f.n, remainder, ordered=True)
 
 
-def normal_form(f: Polynomial, basis, cells=frozenset()) -> Polynomial:
+def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of multivariate division of f by a monic basis.
 
     `basis` is a `Reducer` or an iterable of polynomials, which is set
@@ -432,17 +409,9 @@ def normal_form(f: Polynomial, basis, cells=frozenset()) -> Polynomial:
     working set is therefore stale, and is skipped.  The remainder is
     collected in the order the heap yields it, already lex-descending.
     The terms are handled as packed integers throughout (see `Reducer`).
-
-    `cells` is a hint: exponents known to be divisible by no leading
-    exponent of the basis, which go to the remainder without the scan
-    over the reducers.  A lower set that contains no leading exponent is
-    such a set (if a leading exponent divided a cell, it would itself be
-    a cell), so the engine passes the staircase whose corners lead its
-    basis, and the remainder is the same term for term.  The certificate
-    never passes it: the staircase is part of what it checks.
     """
     reducer = basis if isinstance(basis, Reducer) else Reducer(basis)
-    return reducer.reduce(f, cells)
+    return reducer.reduce(f)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -15,7 +15,8 @@ for detecting unnecessary reductions in the construction of Groebner
 bases", EUROSAM 1979; Gebauer and Moeller, "On an installation of
 Buchberger's algorithm", JSC 6, 1988), so it reaches the same verdict as
 reducing every pair.  It sets the basis up for division once (one
-`poly.Reducer`) and divides each kept S-polynomial by it.
+`poly.Reducer`, built from the elements, never the one the engine hands
+over with its basis) and divides each kept S-polynomial by it.
 
 `verify_basis` decides reduced shape and dimension first; both cost
 O(terms).  Only when the shape passes are vanishing and the S-pairs

@@ -39,6 +39,18 @@ def test_bench_rejects_a_nonpositive_count_up_front(capsys, option, value):
     assert f"argument {option}: expected a positive integer, got '{value}'" in err
 
 
+@pytest.mark.parametrize("sizes", ["8,8", "8,16,8", "8,0", "8,x"])
+def test_bench_rejects_a_bad_size_list_up_front(capsys, sizes):
+    """A repeated size would print its row twice, each with the medians
+    of both runs merged."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--seed", "1", "--sizes", sizes, "--trials", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"argument --sizes: bad size list {sizes!r}"
+    )
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -82,6 +94,19 @@ def test_a_basis_file_without_terms_exits_2_with_one_line(tmp_path, capsys, basi
     basis = write_json(tmp_path / "basis.json", basis)
     assert main(["check", "--points", points, "--basis", basis]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["gb", "check"])
+def test_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    if command == "gb":
+        argv = ["gb", "--points", str(deep)]
+    else:
+        points = write_json(tmp_path / "points.json", POINTS)
+        argv = ["check", "--points", points, "--basis", str(deep)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {deep}: JSON nested too deeply\n")
 
 
 def test_a_basis_of_another_dimension_exits_2(tmp_path, capsys):

@@ -91,36 +91,6 @@ def test_normal_form_matches_the_reference_on_reduced_bases(ps, data):
     assert normal_form(f, basis) == reference_normal_form(f, basis)
 
 
-@given(pointsets(fields=(QQ, F13)), st.data())
-@settings(max_examples=200)
-def test_the_cell_hint_leaves_the_remainder_unchanged(ps, data):
-    """Skipping the reducer scan on staircase cells is exact: no leading
-    exponent of a reduced basis divides a cell."""
-    gb = staircase_gb(ps)
-    cells = sorted(gb.staircase.cells, key=lex_key)
-    f = data.draw(polynomials(ps.field, ps.n, cap=4))
-    on_cells = data.draw(st.dictionaries(st.sampled_from(cells), nonzero_scalars(ps.field)))
-    for g in (f, f + Polynomial(ps.field, ps.n, on_cells)):
-        hinted = normal_form(g, gb.elements, gb.staircase.cells)
-        assert list(hinted.terms.items()) == list(normal_form(g, gb.elements).terms.items())
-
-
-def test_the_certificate_passes_no_cell_hint(monkeypatch):
-    """The certificate checks the staircase, so it must not trust it to
-    skip reductions."""
-    gb = staircase_gb(PointSet(PrimeField(3), 3, product(range(3), repeat=3)))
-    calls = []
-    reduce = verify.normal_form
-
-    def recorded(*args, **kwargs):
-        calls.append((len(args), kwargs))
-        return reduce(*args, **kwargs)
-
-    monkeypatch.setattr(verify, "normal_form", recorded)
-    assert check_buchberger(gb).passed
-    assert calls and all(call == (2, {}) for call in calls)
-
-
 @st.composite
 def monic_pairs(draw):
     field = draw(FIELDS)
@@ -414,15 +384,6 @@ def test_a_coordinate_past_2_to_the_40():
     assert normal_form(xs(F13, 2, ((big, 1), 1)), reducer) == xs(F13, 2, ((big + 5, 0), 1))
 
 
-def test_a_cell_past_the_width_cannot_stand_for_another_exponent():
-    """At a width of k bits, (2^k, 0) would pack like (0, 1), which is
-    reducible; the hint holds such cells for every small k."""
-    basis = [xs(QQ, 2, ((0, 1), 1), ((1, 0), -1))]  # X2 - X1
-    f = xs(QQ, 2, ((0, 2), 1), ((0, 1), 1))
-    ours = normal_form(f, basis, frozenset((2**k, 0) for k in range(1, 16)))
-    assert ours == reference_normal_form(f, basis) == xs(QQ, 2, ((2, 0), 1), ((1, 0), 1))
-
-
 @st.composite
 def bases_in_two_orders(draw):
     field = draw(ALL_FIELDS)
@@ -506,8 +467,10 @@ def test_the_certificate_builds_one_reducer_per_basis(monkeypatch):
 def test_the_engine_builds_one_reducer_per_level_and_per_reduced_slice(ps, reduces, monkeypatch):
     """A level is a `staircase_gb` call that lifts corners (two or more
     variables); a slice counts when `slice_representative` divides by its
-    basis at least once, however many corners ask.  On a full grid every
-    representative is a stored slice element, so no slice counts."""
+    basis at least once, however many corners ask, and it has one
+    variable: a slice of two or more variables is divided by the reducer
+    its level built.  On a full grid every representative is a stored
+    slice element, so no slice counts."""
     built = count_reducers(monkeypatch)
     levels, slices_reduced, divisions = [], {}, []  # slices by id, kept alive
     engine, represent, reduce = core.staircase_gb, core.slice_representative, core.normal_form
@@ -524,9 +487,9 @@ def test_the_engine_builds_one_reducer_per_level_and_per_reduced_slice(ps, reduc
             slices_reduced[id(slice_gb)] = slice_gb
         return tail
 
-    def division(f, basis, cells):
+    def division(f, basis):
         divisions.append(basis)
-        return reduce(f, basis, cells)
+        return reduce(f, basis)
 
     monkeypatch.setattr(core, "staircase_gb", level)
     monkeypatch.setattr(core, "slice_representative", representative)
@@ -534,9 +497,52 @@ def test_the_engine_builds_one_reducer_per_level_and_per_reduced_slice(ps, reduc
     gb = core.staircase_gb(ps)
     assert gb == bm_gb(ps)
     assert bool(slices_reduced) == reduces
-    assert len(built) == len(levels) + len(slices_reduced)
+    one_variable = [slice_gb for slice_gb in slices_reduced.values() if slice_gb.n == 1]
+    assert len(built) == len(levels) + len(one_variable)
     assert all(isinstance(basis, Reducer) for basis in divisions)
     assert {id(basis) for basis in divisions} == {id(r) for r in built}
+
+
+@given(
+    st.one_of(pointsets(fields=(QQ, F13)), grid_pointsets()).filter(lambda ps: ps.n >= 3),
+    st.data(),
+)
+@settings(deadline=None)
+def test_each_level_hands_its_reducer_to_the_basis_it_returns(ps, data):
+    """Every basis of two or more variables the engine returns, the top
+    one and each slice one level down, carries the reducer its level
+    built, and that reducer divides as a fresh one built from the
+    elements does, term for term, also on terms placed on the cells."""
+    returned, levels = [], []
+    engine, reducer = core.staircase_gb, core.Reducer
+
+    def level(ps):
+        gb = engine(ps)
+        if ps.n >= 2:
+            returned.append(gb)
+        return gb
+
+    def recorded(*args):
+        r = reducer(*args)
+        if not args:  # a level's reducer starts empty and grows by `add`
+            levels.append(r)
+        return r
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "staircase_gb", level)
+        mp.setattr(core, "Reducer", recorded)
+        core.staircase_gb(ps)
+    assert len(returned) == len(levels)
+    for gb, built in zip(returned, levels):
+        assert vars(gb)["_reducer"] is built
+        assert built.elements == list(gb.elements)
+        fresh = Reducer(gb.elements)
+        cells = sorted(gb.staircase.cells, key=lex_key)
+        f = data.draw(polynomials(ps.field, gb.n, cap=4))
+        on_cells = data.draw(st.dictionaries(st.sampled_from(cells), nonzero_scalars(ps.field)))
+        for g in (f, f + Polynomial(ps.field, gb.n, on_cells)):
+            ours = normal_form(g, built)
+            assert list(ours.terms.items()) == list(normal_form(g, fresh).terms.items())
 
 
 # -- the oracle's row cache ----------------------------------------------------

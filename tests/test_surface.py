@@ -3,9 +3,12 @@
 Growing or shrinking the surface means editing one explicit list here.
 Public names are those without a leading underscore, read from a sample
 instance so that slots and instance attributes count; the arithmetic
-operators each class defines are pinned as well.
+operators each class defines are pinned as well, and so are the
+parameter names of every exported function, so that a new option is an
+edit here too.
 """
 
+import inspect
 from fractions import Fraction
 
 import pointideal
@@ -54,6 +57,28 @@ ALL = [
     "univariate_vanishing",
     "verify_basis",
 ]
+
+SIGNATURES = {
+    "bm_gb": ["ps"],
+    "bm_staircase": ["ps"],
+    "build_phi": ["field", "beta", "slice_gbs", "stairs"],
+    "char_poly": ["field", "values", "node"],
+    "char_poly_family": ["field", "values"],
+    "check_buchberger": ["gb"],
+    "check_dimension": ["gb", "ps"],
+    "check_reduced_shape": ["gb"],
+    "check_vanishing": ["gb", "ps"],
+    "compute_staircase": ["ps"],
+    "is_prime": ["n"],
+    "normal_form": ["f", "basis"],
+    "s_polynomial": ["f", "g"],
+    "slice_decompose": ["ps"],
+    "slice_representative": ["beta_hat", "slice_gb"],
+    "staircase_gb": ["ps"],
+    "staircase_sum": ["family", "n"],
+    "univariate_vanishing": ["field", "values"],
+    "verify_basis": ["gb", "ps"],
+}
 
 FIELD = [
     "add",
@@ -117,6 +142,15 @@ def samples():
 
 def test_package_exports():
     assert sorted(pointideal.__all__) == ALL
+
+
+def test_function_signatures():
+    functions = {
+        name: list(inspect.signature(obj).parameters)
+        for name in pointideal.__all__
+        if inspect.isfunction(obj := getattr(pointideal, name))
+    }
+    assert functions == SIGNATURES
 
 
 def test_class_surfaces():
