@@ -18,10 +18,19 @@ from . import io
 from .bench import BenchConfig, run_bench, run_both
 from .bm import bm_gb
 from .core import compute_staircase, staircase_gb
-from .field import PrimeField, QQ
+from .field import _INT_RE, PrimeField, QQ
 from .verify import verify_basis
 
 METHODS = ("staircase", "bm", "both")
+
+
+def _ascii_int(text: str) -> int:
+    """int(text) under the scalar grammar of `field`: ASCII digits with
+    an optional '-', and surrounding spaces.  int() alone also takes
+    other scripts' digits and '_' between digits."""
+    if _INT_RE.fullmatch(text.strip()) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 def _parse_field(text: str):
@@ -29,7 +38,7 @@ def _parse_field(text: str):
         return QQ
     if text.startswith("prime:"):
         try:
-            return PrimeField(int(text.split(":", 1)[1]))
+            return PrimeField(_ascii_int(text.split(":", 1)[1]))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad field {text!r}: {exc}") from exc
     raise argparse.ArgumentTypeError(
@@ -39,7 +48,7 @@ def _parse_field(text: str):
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(s) for s in text.split(","))
+        sizes = tuple(_ascii_int(s) for s in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}") from exc
     if not sizes or any(s < 1 for s in sizes) or len(set(sizes)) < len(sizes):
@@ -48,7 +57,7 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    if not (text.isascii() and text.isdecimal()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 

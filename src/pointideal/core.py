@@ -220,6 +220,12 @@ def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial
     by the vanishing polynomial prod (X1 - a1) of the remaining slices,
     whose staircase contains the projected corner.  The result has
     leading exponent beta and vanishes on every point of the set.
+
+    The interpolation keeps one dense column per tail exponent
+    gamma_hat of the representatives: entry k of the column is the
+    coefficient of X1^k * X^gamma_hat, summed over the slices as raw
+    products coeff * chi_k and normalized once when the column is read
+    (delayed reduction, see `field`).
     """
     beta = tuple(beta)
     n = len(beta)
@@ -231,15 +237,20 @@ def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial
     inside, outside = split_first_coordinates(beta, slice_gbs)
     gb_of = dict(slice_gbs)
     chi = char_poly_family(field, outside)
-    theta_terms: dict[Exponent, object] = {(0,) + beta_hat: field.one}
+    columns: dict[Exponent, list] = {}
     for a1 in outside:
-        rep_tail = slice_representative(beta_hat, gb_of[a1]).terms
-        for k, c in enumerate(chi[a1]):
-            if c == field.zero:
-                continue
-            for gamma_hat, coeff in rep_tail.items():
-                e = (k,) + gamma_hat
-                theta_terms[e] = field.add(theta_terms.get(e, field.zero), field.mul(c, coeff))
+        chi_a1 = chi[a1]
+        for gamma_hat, coeff in slice_representative(beta_hat, gb_of[a1]).terms.items():
+            column = columns.get(gamma_hat)
+            if column is None:
+                columns[gamma_hat] = [coeff * c for c in chi_a1]
+            else:
+                columns[gamma_hat] = [x + coeff * c for x, c in zip(column, chi_a1)]
+    norm = field.normalize
+    theta_terms: dict[Exponent, object] = {(0,) + beta_hat: field.one}
+    for gamma_hat, column in columns.items():
+        for k, x in enumerate(column):
+            theta_terms[(k,) + gamma_hat] = norm(x)
     rest = (0,) * (n - 1)
     vanishing = {(k,) + rest: c for k, c in enumerate(vanishing_coeffs(field, inside))}
     theta = Polynomial._trusted(field, n, theta_terms)

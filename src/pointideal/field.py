@@ -7,7 +7,19 @@ Everything is exact; floating point is rejected outright because the
 algorithms downstream rely on exact zero tests.
 
 Scalar grammar: ``int := ['-'] digit+`` and, for the rationals only,
-``rational := int ['/' digit+]``.
+``rational := int ['/' digit+]``, where a digit is one of the ASCII
+characters 0-9 (``int()`` alone would also take other scripts' digits
+and underscores between digits).
+
+**Delayed reduction.**  `normalize(x)` maps a raw value to the canonical
+scalar it stands for: ``x % p`` on F_p, the identity on the rationals,
+whose `Fraction` values are always canonical.  A hot loop may add and
+multiply canonical scalars with native ``+ - *`` and hold the raw sums
+it builds (Python ints do not overflow), provided it normalizes each
+raw value once, where it is read: before comparing it with zero,
+before handing it to another field operation, and before storing it.
+Only canonical scalars are ever stored in a `Polynomial`, whose
+equality compares the stored values as they are.
 """
 
 from __future__ import annotations
@@ -15,8 +27,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_INT_RE = re.compile(r"-?\d+")
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
+_INT_RE = re.compile(r"-?[0-9]+")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 _MAX_PRIME = 2**64
 
@@ -81,6 +93,9 @@ class RationalField:
 
     def format(self, x: Fraction) -> str:
         return str(x)
+
+    def normalize(self, x):
+        return x
 
     def add(self, a, b):
         return a + b
@@ -150,6 +165,9 @@ class PrimeField:
 
     def format(self, x: int) -> str:
         return str(x)
+
+    def normalize(self, x):
+        return x % self.p
 
     def add(self, a, b):
         return (a + b) % self.p

@@ -8,6 +8,10 @@ polynomials: the monic polynomial of degree #V with root set exactly V.
 `vanishing_coeffs` and `char_poly_family` return dense coefficient lists,
 lowest degree first, which callers read directly; `univariate_vanishing`
 and `char_poly` return polynomials in ambient dimension 1.
+
+The loops compute each coefficient as one expression in native
+arithmetic and normalize it once (delayed reduction, see `field`), so
+every list they return holds canonical scalars.
 """
 
 from __future__ import annotations
@@ -30,12 +34,11 @@ def _from_dense(field, coeffs) -> Polynomial:
 
 
 def _mul_linear(field, coeffs, root):
-    """coeffs * (X - root), dense ascending-degree lists."""
-    out = [field.zero] * (len(coeffs) + 1)
-    for k, c in enumerate(coeffs):
-        out[k + 1] = field.add(out[k + 1], c)
-        out[k] = field.sub(out[k], field.mul(root, c))
-    return out
+    """coeffs * (X - root), dense ascending-degree lists: coefficient k
+    of the product is coeffs[k - 1] - root * coeffs[k], one normalized
+    expression per coefficient."""
+    norm, zero = field.normalize, field.zero
+    return [norm(a - root * b) for a, b in zip([zero, *coeffs], [*coeffs, zero])]
 
 
 def vanishing_coeffs(field, values: Sequence) -> list:
@@ -77,19 +80,25 @@ def char_poly_family(field, values: Sequence) -> dict:
     Builds the master product prod (X - b) once and deflates it by each
     node with synthetic division, which is quadratic overall instead of
     cubic.  Agrees with char_poly node for node.
+
+    Each Horner step is one normalized expression, a + node * acc (see
+    `field`).  It is normalized at every step, not once at the end,
+    because acc feeds the next step: held raw, it would gain the bits of
+    a whole field element per step.
     """
     master = vanishing_coeffs(field, values)
     m = len(values)
+    norm = field.normalize
     family = {}
     for node in values:
         quotient = [field.zero] * m
         acc = field.one  # running Horner value; master is monic
-        for k in range(m - 1, -1, -1):
+        for k in range(m - 1, 0, -1):
             quotient[k] = acc
-            acc = field.add(master[k], field.mul(node, acc))
+            acc = norm(master[k] + node * acc)
+        quotient[0] = acc  # the next step would give the remainder, 0
         denom = field.zero
         for k in range(m - 1, -1, -1):
-            denom = field.add(field.mul(denom, node), quotient[k])
-        inv = field.inv(denom)
-        family[node] = [field.mul(inv, c) for c in quotient]
+            denom = norm(quotient[k] + node * denom)
+        family[node] = field.vec_scale(field.inv(denom), quotient)
     return family

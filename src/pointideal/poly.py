@@ -5,9 +5,12 @@ exponent vectors are compared by scanning coordinates from n down to 1;
 the first coordinate where they differ decides, so Xn is the most
 significant variable.
 
-Coefficients are exact field scalars (see :mod:`pointideal.field`).
-Terms are stored with no zero coefficients and no duplicate exponents,
-ordered descending, so the leading term is always the first one.
+Coefficients are exact field scalars (see :mod:`pointideal.field`),
+always stored canonical: the product and the division hold raw sums
+while they work and normalize each coefficient once, before it is
+stored.  Terms are stored with no zero coefficients and no duplicate
+exponents, ordered descending, so the leading term is always the first
+one.
 
 Division by a monic basis (`normal_form`) is the one reduction loop of
 the package, shared by the staircase engine and the certificate.  It
@@ -195,18 +198,20 @@ class Polynomial:
         return Polynomial._trusted(f, self.n, terms, ordered=True)
 
     def __mul__(self, other):
+        """The product; each output coefficient is summed from raw
+        products and normalized once (see `field`)."""
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
         f = self.field
         out: dict[Exponent, object] = {}
-        zero = f.zero
-        mul, add = f.mul, f.add
+        get, zero = out.get, f.zero
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = add(out.get(e, zero), mul(ca, cb))
-        return Polynomial._trusted(f, self.n, out)
+                e = tuple(map(add_, ea, eb))
+                out[e] = get(e, zero) + ca * cb
+        norm = f.normalize
+        return Polynomial._trusted(f, self.n, {e: norm(c) for e, c in out.items()})
 
     # -- comparison / display ----------------------------------------------
 
@@ -294,6 +299,25 @@ class Reducer:
     elements and f, and repack only when the bit length of B grows.  So
     the width needs no setting, only grows, and changes a few times in
     a reducer's life.
+
+    **Delayed reduction.**  The working set holds raw values (see
+    `field`): a step that cancels the term c * X^e adds the raw product
+    -c * tc to the working value of each shifted tail term, with no
+    normalization.  Every such c is canonical and so is every tc, an
+    element's stored coefficient, so a working value is the term's
+    canonical coefficient in f, or 0, plus one product of two canonical
+    scalars per step that reached it, and stays a few field widths wide.
+    A term leaves the working set only when the heap yields it, and is
+    normalized right then.  When the normalized value is zero (the raw
+    value is a multiple of p, or an exact 0 over the rationals) the
+    term is dropped; otherwise that canonical value is the c the next
+    step cancels, or the coefficient stored in the remainder.  So every
+    coefficient leaving `reduce` is a nonzero canonical scalar, and the
+    steps and the remainder are those of a loop that normalizes after
+    every operation, since each term's value is the same residue either
+    way.  `Polynomial.__eq__` compares stored values as they are, so a
+    missed normalization fails the term-for-term tests against the
+    reference division.
     """
 
     __slots__ = ("n", "elements", "_bound", "_width", "_guard", "_reducers")
@@ -357,14 +381,14 @@ class Reducer:
         guard, reducers, shifts = self._guard, self._reducers, self._shifts()
         mask = (1 << self._width) - 1
         fld = f.field
-        zero, sub, mul = fld.zero, fld.sub, fld.mul
+        norm = fld.normalize
         work = {sum(map(lshift, e, shifts)): c for e, c in f.terms.items()}
         heap = [-e for e in work]  # ascending: the terms are lex-descending
         remainder: dict[Exponent, object] = {}
         while heap:
             e = -heappop(heap)
-            c = work.pop(e, None)
-            if c is None:  # stale: the term cancelled after it was pushed
+            c = norm(work.pop(e))
+            if not c:  # the raw contributions cancelled
                 continue
             guarded = e | guard
             for lead, tail in reducers:
@@ -375,14 +399,10 @@ class Reducer:
                         t += shift
                         old = work.get(t)
                         if old is None:
-                            work[t] = sub(zero, mul(c, tc))
+                            work[t] = -c * tc
                             heappush(heap, -t)
                         else:
-                            v = sub(old, mul(c, tc))
-                            if v == zero:
-                                del work[t]
-                            else:
-                                work[t] = v
+                            work[t] = old - c * tc
                     break
             else:
                 remainder[tuple([(e >> s) & mask for s in shifts])] = c
@@ -405,10 +425,11 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     Every term a reduction step adds is lex-smaller than the term it
     cancels (the lex order is compatible with multiplication), so the
     exponents taken off the heap never increase and a term, once taken
-    off, never returns.  A heap entry whose exponent is no longer in the
-    working set is therefore stale, and is skipped.  The remainder is
-    collected in the order the heap yields it, already lex-descending.
-    The terms are handled as packed integers throughout (see `Reducer`).
+    off, never returns.  An exponent is therefore pushed once, when it
+    enters the working set, and stays there until the heap yields it,
+    also when its value cancels; it is dropped then (see `Reducer`).  The
+    remainder is collected in the order the heap yields it, already
+    lex-descending.  The terms are handled as packed integers throughout.
     """
     reducer = basis if isinstance(basis, Reducer) else Reducer(basis)
     return reducer.reduce(f)

@@ -1,10 +1,16 @@
 """Straightforward versions of the exact kernels, kept as references.
 
-The package's `normal_form`, `check_vanishing`, `check_buchberger` and
-`build_phi` are tuned for speed; these are the plain forms they
-replaced.  Tests require the tuned versions to return the same results:
-witnesses included for the first two, the same verdict for the S-pair
-check, which reduces fewer pairs, and the same lifted polynomial.
+The package's `normal_form`, `check_vanishing`, `check_buchberger`,
+`build_phi` and `Polynomial.__mul__` are tuned for speed; these are the
+plain forms they replaced.  Tests require the tuned versions to return
+the same results: witnesses included for the first two, the same verdict
+for the S-pair check, which reduces fewer pairs, the same lifted
+polynomial and the same product.  The references reduce after every
+field operation (`field.add`, `field.mul`), where the package holds raw
+sums and normalizes once per coefficient.  `reference_build_phi` and
+`reference_check_buchberger` call only the references for division,
+product and characteristic polynomials, so no reference shares the
+delayed-reduction code it checks.
 
 `evaluate` and `variable` are plain helpers the tests build on; the
 package itself never evaluates a `Polynomial` at a point.
@@ -14,9 +20,9 @@ from __future__ import annotations
 
 import heapq
 
-from pointideal import Polynomial, char_poly
+from pointideal import Polynomial
 from pointideal.core import split_first_coordinates
-from pointideal.poly import exp_divides, lex_key, normal_form, s_polynomial
+from pointideal.poly import exp_divides, lex_key, s_polynomial
 from pointideal.verify import CheckResult
 
 
@@ -37,6 +43,19 @@ def evaluate(f: Polynomial, point):
 def variable(field, n: int, index: int) -> Polynomial:
     """X_index in n variables, with index in 1..n."""
     return Polynomial.monomial(field, n, tuple(int(i == index - 1) for i in range(n)))
+
+
+def reference_mul(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The product with one `field.mul` and one `field.add` per pair of
+    terms."""
+    f._check_compatible(g)
+    fld = f.field
+    out = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = fld.add(out.get(e, fld.zero), fld.mul(ca, cb))
+    return Polynomial(fld, f.n, out)
 
 
 def _heap_key(e):
@@ -118,7 +137,7 @@ def reference_check_buchberger(gb) -> CheckResult:
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             s = s_polynomial(elems[i], elems[j])
-            if not normal_form(s, elems).is_zero:
+            if not reference_normal_form(s, elems).is_zero:
                 witness = (
                     f"S-polynomial of the pair {elems[i].leading_exponent()}, "
                     f"{elems[j].leading_exponent()} does not reduce to zero"
@@ -127,11 +146,23 @@ def reference_check_buchberger(gb) -> CheckResult:
     return CheckResult("buchberger", True)
 
 
+def reference_char_poly(field, values, node) -> Polynomial:
+    """prod (X - b) / (node - b) over the values b != node, one
+    `reference_mul` per factor."""
+    chi = Polynomial.one(field, 1)
+    for b in values:
+        if b != node:
+            inv = field.inv(field.sub(node, b))
+            factor = Polynomial(field, 1, {(1,): inv, (0,): field.neg(field.mul(b, inv))})
+            chi = reference_mul(chi, factor)
+    return chi
+
+
 def reference_build_phi(field, beta, slice_gbs, stairs) -> Polynomial:
     """The lift with each slice representative formed in full as the
-    monomial minus its normal form, one `char_poly` per node, and the
-    inside-slice product formed factor by factor with `Polynomial`
-    arithmetic."""
+    monomial minus its reference normal form, one `reference_char_poly`
+    per node, and the inside-slice product formed factor by factor with
+    `reference_mul`."""
     beta = tuple(beta)
     n = len(beta)
     if n < 2:
@@ -141,11 +172,11 @@ def reference_build_phi(field, beta, slice_gbs, stairs) -> Polynomial:
         raise ValueError(f"{beta} is not a corner of the staircase")
     inside, outside = split_first_coordinates(beta, slice_gbs)
     gb_of = dict(slice_gbs)
-    chi = {a1: char_poly(field, outside, a1) for a1 in outside}
+    chi = {a1: reference_char_poly(field, outside, a1) for a1 in outside}
     theta_terms = {(0,) + beta_hat: field.one}
     for a1 in outside:
         mono = Polynomial.monomial(field, n - 1, beta_hat)
-        rep_tail = (mono - normal_form(mono, gb_of[a1].elements)).tail()
+        rep_tail = (mono - reference_normal_form(mono, gb_of[a1].elements)).tail()
         for (k,), c in chi[a1].terms.items():
             for gamma_hat, coeff in rep_tail.terms.items():
                 e = (k,) + gamma_hat
@@ -157,5 +188,5 @@ def reference_build_phi(field, beta, slice_gbs, stairs) -> Polynomial:
     phi = Polynomial(field, n, theta_terms)
     x1 = variable(field, n, 1)
     for a1 in inside:
-        phi = phi * (x1 - Polynomial.constant(field, n, a1))
+        phi = reference_mul(phi, x1 - Polynomial.constant(field, n, a1))
     return phi

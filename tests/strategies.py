@@ -7,7 +7,8 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from pointideal import PointSet, PrimeField, QQ, Staircase
+from pointideal import PointSet, Polynomial, PrimeField, QQ, Staircase
+from pointideal.poly import lex_key
 
 F7 = PrimeField(7)
 F13 = PrimeField(13)
@@ -63,9 +64,29 @@ def staircase_pairs(draw, max_n: int = 3, cap: int = 3):
 def polynomials(draw, field=QQ, n: int = 2, cap: int = 3, max_terms: int = 6):
     coeffs = rationals() if field == QQ else prime_scalars(field.p)
     terms = draw(st.dictionaries(exponents(n, cap), coeffs, max_size=max_terms))
-    from pointideal import Polynomial
-
     return Polynomial(field, n, terms)
+
+
+def nonzero_scalars(field):
+    scalars = rationals() if field == QQ else prime_scalars(field.p)
+    return scalars.filter(lambda c: c != field.zero)
+
+
+@st.composite
+def monic_bases(draw, field, n, cap=3, max_size=4):
+    """Monic polynomials with distinct leading exponents and arbitrary
+    lex-smaller tails: usually not a Groebner basis, so the reducer rule
+    decides the remainder."""
+    leads = draw(
+        st.lists(exponents(n, cap), min_size=1, max_size=max_size, unique=True)
+    )
+    basis = []
+    for le in leads:
+        tail = draw(st.dictionaries(exponents(n, cap), nonzero_scalars(field), max_size=3))
+        terms = {e: c for e, c in tail.items() if lex_key(e) < lex_key(le)}
+        terms[le] = field.one
+        basis.append(Polynomial(field, n, terms))
+    return basis
 
 
 @st.composite

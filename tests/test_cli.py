@@ -286,3 +286,36 @@ def test_bench_field_says_what_is_wrong(capsys, value, reason):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1].endswith(f"argument --field: bad field {value!r}: {reason}")
+
+
+@pytest.mark.parametrize(
+    "field, coordinate, message",
+    [
+        ({"type": "prime", "p": 7}, "٣", "malformed prime-field scalar '٣'"),
+        ({"type": "rational"}, "１", "malformed rational scalar '１'"),
+        ({"type": "rational"}, "1/٢", "malformed rational scalar '1/٢'"),
+        ({"type": "prime", "p": 7}, "1_0", "malformed prime-field scalar '1_0'"),
+    ],
+)
+def test_scalars_take_ascii_digits_only(tmp_path, capsys, field, coordinate, message):
+    """An Arabic-Indic three or a fullwidth one is not read as 3 or 1."""
+    points = {"field": field, "dimension": 2, "points": [["0", "0"], ["1", coordinate]]}
+    assert main(["gb", "--points", write_json(tmp_path / "points.json", points)]) == 2
+    assert capsys.readouterr() == ("", f"error: points[1][1]: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "option, value, reason",
+    [
+        ("--field", "prime:٧", "bad field 'prime:٧': invalid literal for int() with base 10: '٧'"),
+        ("--field", "prime:1_9", "bad field 'prime:1_9': invalid literal for int() with base 10: '1_9'"),
+        ("--sizes", "8,١٦", "bad size list '8,١٦'"),
+        ("--sizes", "1_6", "bad size list '1_6'"),
+        ("--trials", "١", "expected a positive integer, got '١'"),
+    ],
+)
+def test_bench_options_take_ascii_digits_only(capsys, option, value, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--seed", "1", "--sizes", "8", "--trials", "1", option, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument {option}: {reason}")

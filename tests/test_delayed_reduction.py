@@ -1,0 +1,219 @@
+"""Delayed reduction: the product, the interpolation, the lift and the
+division add and multiply raw values and normalize once per coefficient
+read (see `pointideal.field`).
+
+These tests pin them to the references, which reduce after every field
+operation, over the field of two elements, a mid-sized prime, the
+word-size prime 2^61 - 1 and the rationals, and check that every
+coefficient returned is a nonzero canonical scalar.  `Polynomial.__eq__`
+compares stored values as they are, so an unreduced coefficient fails
+the comparisons.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pointideal import (
+    PointSet,
+    Polynomial,
+    PrimeField,
+    QQ,
+    bm_gb,
+    char_poly,
+    char_poly_family,
+    normal_form,
+    poly,
+    staircase_gb,
+    verify_basis,
+)
+
+from reference import evaluate, reference_mul, reference_normal_form
+from strategies import monic_bases, polynomials, rationals
+
+F2 = PrimeField(2)
+F5 = PrimeField(5)
+F7919 = PrimeField(7919)
+F61 = PrimeField(2**61 - 1)
+FIELDS = st.sampled_from([F2, F7919, F61, QQ])
+
+
+def is_canonical(field, c) -> bool:
+    """c is a canonical scalar: a Fraction, or an int in range(p)."""
+    if field == QQ:
+        return isinstance(c, Fraction)
+    return isinstance(c, int) and 0 <= c < field.p
+
+
+def stored_canonical(f: Polynomial) -> bool:
+    """Every coefficient of f is nonzero and canonical; over F_p it lies
+    in range(1, p)."""
+    return all(c and is_canonical(f.field, c) for c in f.terms.values())
+
+
+@st.composite
+def products(draw):
+    field = draw(FIELDS)
+    n = draw(st.integers(1, 3))
+    return draw(polynomials(field, n, max_terms=6)), draw(polynomials(field, n, max_terms=6))
+
+
+@given(products())
+@settings(max_examples=200)
+def test_the_product_matches_the_reference(pair):
+    f, g = pair
+    product = f * g
+    assert list(product.terms.items()) == list(reference_mul(f, g).terms.items())
+    assert stored_canonical(product)
+
+
+@st.composite
+def value_sets(draw):
+    field = draw(FIELDS)
+    scalar = rationals() if field == QQ else st.integers(0, field.p - 1)
+    size = 8 if field == QQ else min(8, field.p)
+    return field, draw(st.lists(scalar, min_size=1, max_size=size, unique=True))
+
+
+@given(value_sets())
+def test_the_family_matches_char_poly(drawn):
+    field, values = drawn
+    family = char_poly_family(field, values)
+    for a in values:
+        chi = char_poly(field, values, a)
+        assert len(family[a]) == len(values)
+        assert all(is_canonical(field, c) for c in family[a])
+        assert Polynomial(field, 1, {(k,): c for k, c in enumerate(family[a])}) == chi
+        assert stored_canonical(chi)
+        for b in values:
+            assert evaluate(chi, (b,)) == (field.one if a == b else field.zero)
+
+
+@st.composite
+def divisions(draw):
+    field = draw(FIELDS)
+    n = draw(st.integers(1, 3))
+    return draw(polynomials(field, n, cap=4, max_terms=6)), draw(monic_bases(field, n))
+
+
+@given(divisions())
+@settings(max_examples=200)
+def test_the_division_matches_the_reference(problem):
+    f, basis = problem
+    remainder = normal_form(f, basis)
+    expected = reference_normal_form(f, basis)
+    assert list(remainder.terms.items()) == list(expected.terms.items())
+    assert stored_canonical(remainder)
+
+
+def test_raw_contributions_that_sum_to_a_multiple_of_p_cancel():
+    """Divide X1*X2 + X1^3 + X1 by X2 + 2*X1 and X1^3 + 3*X1^2 over F_5.
+    Cancelling X1*X2 leaves the raw value -2 at X1^2; cancelling X1^3
+    adds -3 there.  The raw sum -5 is nonzero but is 0 in F_5, so X1^2
+    must not reach the remainder."""
+    f = Polynomial(F5, 2, {(1, 1): 1, (3, 0): 1, (1, 0): 1})
+    basis = [
+        Polynomial(F5, 2, {(0, 1): 1, (1, 0): 2}),
+        Polynomial(F5, 2, {(3, 0): 1, (2, 0): 3}),
+    ]
+    remainder = normal_form(f, basis)
+    assert (2, 0) not in remainder.terms
+    assert list(remainder.terms.items()) == [((1, 0), 1)]
+    assert remainder == reference_normal_form(f, basis)
+
+
+@st.composite
+def word_size_pointsets(draw):
+    """Points of F_(2^61 - 1)^n.  Coordinates are drawn uniformly or
+    near 0 and near p, so that slices share first coordinates and the
+    raw products run up to about p^2."""
+    p = F61.p
+    coord = st.one_of(st.integers(0, p - 1), st.integers(-3, 3).map(lambda x: x % p))
+    n = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=10, unique=True))
+    return PointSet(F61, n, pts)
+
+
+@given(word_size_pointsets())
+@settings(max_examples=80, deadline=None)
+def test_engines_agree_over_the_word_size_prime(ps):
+    gb = staircase_gb(ps)
+    assert gb == bm_gb(ps)
+    assert verify_basis(gb, ps).overall
+    assert all(stored_canonical(f) for f in gb.elements)
+
+
+class CheckedField(PrimeField):
+    """F_p that checks the delayed-reduction contract of `field`: every
+    scalar handed to a field operation is canonical, and every raw value
+    handed to `normalize` is below 2^12 * p^2, a sum of at most 2^12
+    products of canonical scalars.  A Horner step held raw would grow by
+    a field width per step and break the bound."""
+
+    def normalize(self, x):
+        assert abs(x) < 2**12 * self.p**2, f"a raw value grew to {x.bit_length()} bits"
+        return super().normalize(x)
+
+    def _check(self, *scalars):
+        assert all(is_canonical(self, c) for c in scalars), scalars
+
+    def add(self, a, b):
+        self._check(a, b)
+        return super().add(a, b)
+
+    def sub(self, a, b):
+        self._check(a, b)
+        return super().sub(a, b)
+
+    def mul(self, a, b):
+        self._check(a, b)
+        return super().mul(a, b)
+
+    def neg(self, a):
+        self._check(a)
+        return super().neg(a)
+
+    def inv(self, a):
+        self._check(a)
+        return super().inv(a)
+
+    def vec_scale(self, c, row):
+        self._check(c, *row)
+        return super().vec_scale(c, row)
+
+    def vec_sub_scaled(self, row, c, other):
+        self._check(c, *row, *other)
+        return super().vec_sub_scaled(row, c, other)
+
+
+CHECKED = CheckedField(7919)
+real_fill = poly._fill
+
+
+def checked_fill(p, field, n, terms):
+    """`poly._fill`, which every `Polynomial` is built through, refusing
+    a stored coefficient that is zero or not canonical."""
+    assert all(c and is_canonical(field, c) for c in terms.values()), terms
+    real_fill(p, field, n, terms)
+
+
+@st.composite
+def checked_pointsets(draw):
+    """Points of F_7919^n, with coordinates uniform or small, so that
+    both generic slices and shared first coordinates occur."""
+    coord = st.one_of(st.integers(0, 3), st.integers(0, CHECKED.p - 1))
+    n = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=14, unique=True))
+    return PointSet(CHECKED, n, pts)
+
+
+@given(checked_pointsets())
+@settings(max_examples=120, deadline=None)
+def test_raw_values_stay_bounded_and_only_canonical_ones_are_stored(ps):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_fill", checked_fill)
+        gb = staircase_gb(ps)
+        assert verify_basis(gb, ps).overall
+        assert gb == bm_gb(ps)

@@ -35,37 +35,14 @@ from reference import (
 from strategies import (
     F7,
     F13,
-    exponents,
     grid_pointsets,
+    monic_bases,
+    nonzero_scalars,
     pointsets,
     polynomials,
-    prime_scalars,
-    rationals,
 )
 
 FIELDS = st.sampled_from([QQ, F7])
-
-
-def nonzero_scalars(field):
-    scalars = rationals() if field == QQ else prime_scalars(field.p)
-    return scalars.filter(lambda c: c != field.zero)
-
-
-@st.composite
-def monic_bases(draw, field, n, cap=3, max_size=4):
-    """Monic polynomials with distinct leading exponents and arbitrary
-    lex-smaller tails: usually not a Groebner basis, so the reducer rule
-    decides the remainder."""
-    leads = draw(
-        st.lists(exponents(n, cap), min_size=1, max_size=max_size, unique=True)
-    )
-    basis = []
-    for le in leads:
-        tail = draw(st.dictionaries(exponents(n, cap), nonzero_scalars(field), max_size=3))
-        terms = {e: c for e, c in tail.items() if lex_key(e) < lex_key(le)}
-        terms[le] = field.one
-        basis.append(Polynomial(field, n, terms))
-    return basis
 
 
 @st.composite

@@ -88,6 +88,7 @@ FIELD = [
     "is_negative",
     "mul",
     "neg",
+    "normalize",
     "one",
     "parse",
     "sub",
