@@ -56,10 +56,21 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
+def _integer(text: str) -> int:
+    try:
+        return _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    if not (text.isascii() and text.isdecimal()) or int(text) < 1:
+    try:
+        value = _ascii_int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+    return value
 
 
 def _write_output(text: str, out_path) -> None:
@@ -170,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cp.set_defaults(func=_cmd_compare)
 
     p_be = sub.add_parser("bench", help="seeded random instances with timings")
-    p_be.add_argument("--seed", type=int, required=True)
+    p_be.add_argument("--seed", type=_integer, required=True)
     p_be.add_argument("--sizes", type=_parse_sizes, default=(64, 128, 256))
     p_be.add_argument("--field", type=_parse_field, default=PrimeField(7919))
     p_be.add_argument("--dim", type=_positive_int, default=2)

@@ -1,25 +1,33 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
 Scalars are plain Python values -- ``fractions.Fraction`` for the
-rationals, canonical residues in ``range(p)`` as ``int`` for F_p.  A
-field object supplies arithmetic, parsing and printing for its scalars.
+rationals, canonical residues in ``range(p)`` as ``int`` for F_p.
 Everything is exact; floating point is rejected outright because the
 algorithms downstream rely on exact zero tests.
+
+**The scalar contract.**  Arithmetic on scalars is native ``+ - *``
+followed by `normalize`, which maps a raw value to the canonical scalar
+it stands for: ``x % p`` on F_p, the identity on the rationals, whose
+`Fraction` values are always canonical.  So a sum is
+``normalize(a + b)``, a negation ``normalize(-a)``.  A hot loop may hold
+the raw values it builds (Python ints do not overflow) and normalize
+each one once, where it is read: before comparing it with zero, before
+handing it to the field, and before storing it.  Only canonical scalars
+are ever stored in a `Polynomial`, whose equality compares the stored
+values as they are.
+
+A field object supplies only what native operators cannot:
+
+- `normalize` and `inv`;
+- the row kernels `vec_scale` and `vec_sub_scaled`, which return
+  canonical rows;
+- `zero` and `one`, `coerce` (a Python value to a canonical scalar),
+  `parse` and `format` (text), and `is_negative` (the sign printed).
 
 Scalar grammar: ``int := ['-'] digit+`` and, for the rationals only,
 ``rational := int ['/' digit+]``, where a digit is one of the ASCII
 characters 0-9 (``int()`` alone would also take other scripts' digits
 and underscores between digits).
-
-**Delayed reduction.**  `normalize(x)` maps a raw value to the canonical
-scalar it stands for: ``x % p`` on F_p, the identity on the rationals,
-whose `Fraction` values are always canonical.  A hot loop may add and
-multiply canonical scalars with native ``+ - *`` and hold the raw sums
-it builds (Python ints do not overflow), provided it normalizes each
-raw value once, where it is read: before comparing it with zero,
-before handing it to another field operation, and before storing it.
-Only canonical scalars are ever stored in a `Polynomial`, whose
-equality compares the stored values as they are.
 """
 
 from __future__ import annotations
@@ -73,7 +81,9 @@ class RationalField:
     def coerce(self, value) -> Fraction:
         if isinstance(value, float):
             raise TypeError("floating point values are not exact; use Fraction or str")
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
             return self.parse(value)
@@ -96,18 +106,6 @@ class RationalField:
 
     def normalize(self, x):
         return x
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
@@ -168,18 +166,6 @@ class PrimeField:
 
     def normalize(self, x):
         return x % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def inv(self, a):
         if a % self.p == 0:

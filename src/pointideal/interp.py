@@ -67,9 +67,8 @@ def char_poly(field, values: Sequence, node) -> Polynomial:
         if b == node:
             continue
         coeffs = _mul_linear(field, coeffs, b)
-        denom = field.mul(denom, field.sub(node, b))
-    inv = field.inv(denom)
-    return _from_dense(field, [field.mul(inv, c) for c in coeffs])
+        denom = field.normalize(denom * (node - b))
+    return _from_dense(field, field.vec_scale(field.inv(denom), coeffs))
 
 
 def char_poly_family(field, values: Sequence) -> dict:

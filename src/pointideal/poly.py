@@ -6,11 +6,14 @@ the first coordinate where they differ decides, so Xn is the most
 significant variable.
 
 Coefficients are exact field scalars (see :mod:`pointideal.field`),
-always stored canonical: the product and the division hold raw sums
-while they work and normalize each coefficient once, before it is
-stored.  Terms are stored with no zero coefficients and no duplicate
-exponents, ordered descending, so the leading term is always the first
-one.
+always stored canonical: the public constructor coerces each one, and
+the internal constructions compute with native operators and
+`field.normalize` -- the product and the division hold raw sums while
+they work and normalize each coefficient once, before it is stored.
+Terms are stored with no zero coefficients and no duplicate exponents,
+ordered descending, so the leading term is always the first one.  The
+arithmetic is what the engines need: product, negation, S-polynomial
+and division.
 
 Division by a monic basis (`normal_form`) is the one reduction loop of
 the package, shared by the staircase engine and the certificate.  It
@@ -71,8 +74,9 @@ def monomial_row(field, points, exponent: Exponent, rows: dict) -> list:
     row = rows.get(e)
     if row is None:  # e is the origin
         row = rows[e] = [field.one] * len(points)
+    norm = field.normalize
     for e, i in reversed(chain):
-        row = rows[e] = [field.mul(v, pt[i]) for v, pt in zip(row, points)]
+        row = rows[e] = [norm(v * pt[i]) for v, pt in zip(row, points)]
     return row
 
 
@@ -107,7 +111,7 @@ class Polynomial:
             exp = tuple(exp)
             if len(exp) != n or any(x < 0 or not isinstance(x, int) for x in exp):
                 raise ValueError(f"bad exponent {exp} for dimension {n}")
-            checked[exp] = coeff
+            checked[exp] = field.coerce(coeff)
         _fill(self, field, n, _descending(field, checked))
 
     @classmethod
@@ -172,29 +176,10 @@ class Polynomial:
         if self.field != other.field:
             raise ValueError("coefficient field mismatch")
 
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        f = self.field
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = f.add(out.get(e, f.zero), c)
-        return Polynomial(f, self.n, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        f = self.field
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = f.sub(out.get(e, f.zero), c)
-        return Polynomial(f, self.n, out)
-
     def __neg__(self):
         f = self.field
-        terms = {e: f.neg(c) for e, c in self.terms.items()}
+        norm = f.normalize
+        terms = {e: norm(-c) for e, c in self.terms.items()}
         return Polynomial._trusted(f, self.n, terms, ordered=True)
 
     def __mul__(self, other):
@@ -231,7 +216,7 @@ class Polynomial:
             f"X{i + 1}" if k == 1 else f"X{i + 1}^{k}" for i, k in enumerate(exp) if k
         )
         neg = f.is_negative(coeff)
-        mag = f.neg(coeff) if neg else coeff
+        mag = -coeff if neg else coeff
         body = f.format(mag) if not mono else (mono if mag == f.one else f"{f.format(mag)}*{mono}")
         if lead:
             return f"-{body}" if neg else body
@@ -448,9 +433,9 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     lcm = exp_lcm(lf, lg)
     shift_f, shift_g = exp_sub(lcm, lf), exp_sub(lcm, lg)
     fld = f.field
-    zero, sub = fld.zero, fld.sub
+    zero, norm = fld.zero, fld.normalize
     terms = {tuple(map(add_, e, shift_f)): c for e, c in f.terms.items()}
     for e, c in g.terms.items():
         e = tuple(map(add_, e, shift_g))
-        terms[e] = sub(terms.get(e, zero), c)
+        terms[e] = norm(terms.get(e, zero) - c)
     return Polynomial._trusted(fld, f.n, terms)

@@ -106,7 +106,7 @@ def check_vanishing(gb: GroebnerBasis, ps: PointSet) -> CheckResult:
         values = [fld.zero] * len(points)
         for e, c in f.terms.items():
             row = monomial_row(fld, points, e, rows)
-            values = fld.vec_sub_scaled(values, fld.neg(c), row)  # values + c * row
+            values = fld.vec_sub_scaled(values, fld.normalize(-c), row)  # values + c * row
         for pt, value in zip(points, values):
             if value != fld.zero:
                 witness = (

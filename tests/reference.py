@@ -5,15 +5,17 @@ The package's `normal_form`, `check_vanishing`, `check_buchberger`,
 plain forms they replaced.  Tests require the tuned versions to return
 the same results: witnesses included for the first two, the same verdict
 for the S-pair check, which reduces fewer pairs, the same lifted
-polynomial and the same product.  The references reduce after every
-field operation (`field.add`, `field.mul`), where the package holds raw
-sums and normalizes once per coefficient.  `reference_build_phi` and
-`reference_check_buchberger` call only the references for division,
-product and characteristic polynomials, so no reference shares the
-delayed-reduction code it checks.
+polynomial and the same product.  The references apply `field.normalize`
+after every native operation, as in ``normalize(a + b)``, where the
+package holds raw sums and normalizes once per coefficient.
+`reference_build_phi` and `reference_check_buchberger` call only the
+references for division, product, S-polynomial, characteristic
+polynomials and the split of the slices around a corner, so no
+reference shares the code it checks.
 
-`evaluate` and `variable` are plain helpers the tests build on; the
-package itself never evaluates a `Polynomial` at a point.
+`evaluate`, `variable`, `poly_add` and `poly_sub` are plain helpers the
+tests build on; the package itself never evaluates a `Polynomial` at a
+point, nor adds or subtracts two of them.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from __future__ import annotations
 import heapq
 
 from pointideal import Polynomial
-from pointideal.core import split_first_coordinates
-from pointideal.poly import exp_divides, lex_key, s_polynomial
+from pointideal.poly import exp_divides, lex_key
 from pointideal.verify import CheckResult
 
 
@@ -30,13 +31,13 @@ def evaluate(f: Polynomial, point):
     """Exact value of f at a point given as a tuple of field scalars."""
     if len(point) != f.n:
         raise ValueError(f"point has {len(point)} coordinates, expected {f.n}")
-    fld = f.field
-    total = fld.zero
+    norm = f.field.normalize
+    total = f.field.zero
     for e, c in f.terms.items():
         for a, k in zip(point, e):
             for _ in range(k):
-                c = fld.mul(c, a)
-        total = fld.add(total, c)
+                c = norm(c * a)
+        total = norm(total + c)
     return total
 
 
@@ -45,17 +46,50 @@ def variable(field, n: int, index: int) -> Polynomial:
     return Polynomial.monomial(field, n, tuple(int(i == index - 1) for i in range(n)))
 
 
+def _combine(f: Polynomial, g: Polynomial, sign: int) -> Polynomial:
+    f._check_compatible(g)
+    norm = f.field.normalize
+    out = dict(f.terms)
+    for e, c in g.terms.items():
+        out[e] = norm(out.get(e, f.field.zero) + sign * c)
+    return Polynomial(f.field, f.n, out)
+
+
+def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f + g, one normalized sum per shared exponent."""
+    return _combine(f, g, 1)
+
+
+def poly_sub(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f - g, one normalized difference per shared exponent."""
+    return _combine(f, g, -1)
+
+
 def reference_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The product with one `field.mul` and one `field.add` per pair of
-    terms."""
+    """The product with one normalized product and one normalized sum
+    per pair of terms."""
     f._check_compatible(g)
     fld = f.field
+    norm = fld.normalize
     out = {}
     for ea, ca in f.terms.items():
         for eb, cb in g.terms.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = fld.add(out.get(e, fld.zero), fld.mul(ca, cb))
+            out[e] = norm(out.get(e, fld.zero) + norm(ca * cb))
     return Polynomial(fld, f.n, out)
+
+
+def reference_s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """X^(lcm - lt f) * f - X^(lcm - lt g) * g for monic f and g, as two
+    `reference_mul` products and a `poly_sub`."""
+    lf, lg = f.leading_exponent(), g.leading_exponent()
+    lcm = tuple(max(x, y) for x, y in zip(lf, lg))
+
+    def shifted(h, lead):
+        mono = Polynomial.monomial(h.field, h.n, tuple(x - y for x, y in zip(lcm, lead)))
+        return reference_mul(mono, h)
+
+    return poly_sub(shifted(f, lf), shifted(g, lg))
 
 
 def _heap_key(e):
@@ -70,7 +104,7 @@ def reference_normal_form(f: Polynomial, basis) -> Polynomial:
         ((b.leading_exponent(), b) for b in basis), key=lambda kv: lex_key(kv[0])
     )
     fld = f.field
-    zero, sub, mul = fld.zero, fld.sub, fld.mul
+    zero, norm = fld.zero, fld.normalize
     work = dict(f.terms)
     heap = [(_heap_key(e), e) for e in work]
     heapq.heapify(heap)
@@ -89,7 +123,7 @@ def reference_normal_form(f: Polynomial, basis) -> Polynomial:
                 next(tail_items)
                 for te, tc in tail_items:
                     ne = tuple(x + y for x, y in zip(te, shift))
-                    nv = sub(work.get(ne, zero), mul(c, tc))
+                    nv = norm(work.get(ne, zero) - norm(c * tc))
                     if nv == zero:
                         work.pop(ne, None)
                     else:
@@ -136,7 +170,7 @@ def reference_check_buchberger(gb) -> CheckResult:
         return CheckResult("buchberger", False, "duplicate leading exponents")
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            s = s_polynomial(elems[i], elems[j])
+            s = reference_s_polynomial(elems[i], elems[j])
             if not reference_normal_form(s, elems).is_zero:
                 witness = (
                     f"S-polynomial of the pair {elems[i].leading_exponent()}, "
@@ -149,11 +183,12 @@ def reference_check_buchberger(gb) -> CheckResult:
 def reference_char_poly(field, values, node) -> Polynomial:
     """prod (X - b) / (node - b) over the values b != node, one
     `reference_mul` per factor."""
+    norm = field.normalize
     chi = Polynomial.one(field, 1)
     for b in values:
         if b != node:
-            inv = field.inv(field.sub(node, b))
-            factor = Polynomial(field, 1, {(1,): inv, (0,): field.neg(field.mul(b, inv))})
+            inv = field.inv(norm(node - b))
+            factor = Polynomial(field, 1, {(1,): inv, (0,): norm(-norm(b * inv))})
             chi = reference_mul(chi, factor)
     return chi
 
@@ -162,7 +197,9 @@ def reference_build_phi(field, beta, slice_gbs, stairs) -> Polynomial:
     """The lift with each slice representative formed in full as the
     monomial minus its reference normal form, one `reference_char_poly`
     per node, and the inside-slice product formed factor by factor with
-    `reference_mul`."""
+    `reference_mul`.  A slice is inside when no leading exponent of its
+    basis divides the projected corner, read from the elements rather
+    than from the slice staircase."""
     beta = tuple(beta)
     n = len(beta)
     if n < 2:
@@ -170,17 +207,21 @@ def reference_build_phi(field, beta, slice_gbs, stairs) -> Polynomial:
     beta_hat = beta[1:]
     if beta not in stairs.corners():
         raise ValueError(f"{beta} is not a corner of the staircase")
-    inside, outside = split_first_coordinates(beta, slice_gbs)
+    inside, outside = [], []
+    for a1, gb in slice_gbs:
+        divides = (all(x <= y for x, y in zip(b.leading_exponent(), beta_hat)) for b in gb.elements)
+        (outside if any(divides) else inside).append(a1)
     gb_of = dict(slice_gbs)
     chi = {a1: reference_char_poly(field, outside, a1) for a1 in outside}
+    norm = field.normalize
     theta_terms = {(0,) + beta_hat: field.one}
     for a1 in outside:
         mono = Polynomial.monomial(field, n - 1, beta_hat)
-        rep_tail = (mono - reference_normal_form(mono, gb_of[a1].elements)).tail()
+        rep_tail = poly_sub(mono, reference_normal_form(mono, gb_of[a1].elements)).tail()
         for (k,), c in chi[a1].terms.items():
             for gamma_hat, coeff in rep_tail.terms.items():
                 e = (k,) + gamma_hat
-                v = field.add(theta_terms.get(e, field.zero), field.mul(c, coeff))
+                v = norm(theta_terms.get(e, field.zero) + norm(c * coeff))
                 if v == field.zero:
                     theta_terms.pop(e, None)
                 else:
@@ -188,5 +229,5 @@ def reference_build_phi(field, beta, slice_gbs, stairs) -> Polynomial:
     phi = Polynomial(field, n, theta_terms)
     x1 = variable(field, n, 1)
     for a1 in inside:
-        phi = reference_mul(phi, x1 - Polynomial.constant(field, n, a1))
+        phi = reference_mul(phi, poly_sub(x1, Polynomial.constant(field, n, a1)))
     return phi

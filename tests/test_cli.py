@@ -6,6 +6,8 @@ from pointideal import GroebnerBasis, Polynomial, bench, bm_gb, verify
 from pointideal.bench import fit_slope
 from pointideal.cli import main
 
+from reference import poly_add
+
 POINTS = {
     "field": {"type": "prime", "p": 7},
     "dimension": 2,
@@ -28,6 +30,11 @@ def test_bench_with_one_size_reports_no_slope(capsys):
     assert main(["bench", "--seed", "1", "--sizes", "8", "--trials", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "log-log slope: staircase n/a, bm n/a"
     assert fit_slope([2.0, 2.0], [1.0, 3.0]) is None
+
+
+def test_bench_takes_a_negative_seed(capsys):
+    assert main(["bench", "--seed", "-3", "--sizes", "8", "--trials", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[-1] == "yes"
 
 
 @pytest.mark.parametrize("option, value", [("--dim", "0"), ("--trials", "0"), ("--trials", "-1")])
@@ -194,7 +201,7 @@ def test_engine_disagreement_exits_1_and_names_the_first_difference(
         gb = bm_gb(ps)
         f = gb.elements[1]
         terms = dict(f.terms)
-        terms[(1, 0)] = f.field.add(terms[(1, 0)], f.field.one)
+        terms[(1, 0)] = f.field.normalize(terms[(1, 0)] + f.field.one)
         return GroebnerBasis(gb.staircase, (gb.elements[0], Polynomial(f.field, f.n, terms)))
 
     monkeypatch.setattr(bench, "bm_gb", mutated_bm_gb)
@@ -211,7 +218,7 @@ def test_bench_disagreement_exits_1_and_says_no(capsys, monkeypatch):
     def mutated_bm_gb(ps):
         gb = bm_gb(ps)
         f = gb.elements[-1]
-        changed = f + Polynomial.one(f.field, f.n)
+        changed = poly_add(f, Polynomial.one(f.field, f.n))
         return GroebnerBasis(gb.staircase, gb.elements[:-1] + (changed,))
 
     monkeypatch.setattr(bench, "bm_gb", mutated_bm_gb)
@@ -312,6 +319,8 @@ def test_scalars_take_ascii_digits_only(tmp_path, capsys, field, coordinate, mes
         ("--sizes", "8,١٦", "bad size list '8,١٦'"),
         ("--sizes", "1_6", "bad size list '1_6'"),
         ("--trials", "١", "expected a positive integer, got '١'"),
+        ("--seed", "٣", "expected an integer, got '٣'"),
+        ("--seed", "1_0", "expected an integer, got '1_0'"),
     ],
 )
 def test_bench_options_take_ascii_digits_only(capsys, option, value, reason):

@@ -49,11 +49,20 @@ class TestParse:
 
 
 class TestArithmetic:
+    """Arithmetic is native ``+ - *`` on scalars, with `normalize` applied
+    to the raw result; the field itself supplies `inv` and the row
+    kernels."""
+
     def test_fraction_addition(self):
-        assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+        assert QQ.normalize(Fraction(1, 2) + Fraction(1, 3)) == Fraction(5, 6)
 
     def test_prime_multiplication(self):
-        assert F7.mul(3, 5) == 1
+        assert F7.normalize(3 * 5) == 1
+
+    def test_normalize_gives_the_canonical_residue(self):
+        assert [F7.normalize(x) for x in (-1, 7, 50, -7 * 10**30 - 2)] == [6, 0, 1, 5]
+        x = Fraction(-3, 4)
+        assert QQ.normalize(x) is x
 
     def test_inverse_examples(self):
         assert QQ.inv(Fraction(1, 2)) == 2
@@ -69,29 +78,43 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             F7.coerce(0.5)
 
+    def test_coerce_keeps_a_fraction_as_it_is(self):
+        x = Fraction(2, 3)
+        assert QQ.coerce(x) is x
+        assert QQ.coerce(4) == Fraction(4) and type(QQ.coerce(4)) is Fraction
+
     @given(rationals(), rationals(), rationals())
     def test_rational_axioms(self, a, b, c):
-        f = QQ
-        assert f.add(a, b) == f.add(b, a)
-        assert f.mul(a, b) == f.mul(b, a)
-        assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-        assert f.add(a, f.neg(a)) == f.zero
-        if a != f.zero:
-            assert f.mul(a, f.inv(a)) == f.one
+        self.check_axioms(QQ, a, b, c)
 
     @given(prime_scalars(7), prime_scalars(7), prime_scalars(7))
     def test_prime_axioms(self, a, b, c):
-        f = F7
-        assert f.add(a, b) == f.add(b, a)
-        assert f.mul(a, b) == f.mul(b, a)
-        assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-        assert f.add(a, f.neg(a)) == f.zero
+        self.check_axioms(F7, a, b, c)
+        for x in (a + b, a - b, a * b, -a):
+            assert F7.normalize(x) in range(7)
+
+    @staticmethod
+    def check_axioms(f, a, b, c):
+        add = lambda x, y: f.normalize(x + y)
+        mul = lambda x, y: f.normalize(x * y)
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert add(a, f.normalize(-a)) == f.zero
+        assert f.normalize(a - b) == add(a, f.normalize(-b))
         if a != f.zero:
-            assert f.mul(a, f.inv(a)) == f.one
+            assert mul(a, f.inv(a)) == f.one
+
+    @given(st.sampled_from([QQ, F7]), st.data())
+    def test_row_kernels_are_normalized_native_ops(self, f, data):
+        scalar = rationals() if f == QQ else prime_scalars(7)
+        c = data.draw(scalar)
+        row, other = (data.draw(st.lists(scalar, min_size=3, max_size=3)) for _ in range(2))
+        assert f.vec_scale(c, row) == [f.normalize(c * x) for x in row]
+        expected = [f.normalize(x - c * y) for x, y in zip(row, other)]
+        assert f.vec_sub_scaled(row, c, other) == expected
 
 
 class TestPrimality:

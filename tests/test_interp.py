@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from pointideal import Polynomial, QQ, char_poly, char_poly_family, univariate_vanishing
 
-from reference import evaluate
+from reference import evaluate, poly_add
 from strategies import F13
 
 
@@ -61,7 +61,7 @@ class TestCharPoly:
     def test_partition_of_unity(self, values):
         total = Polynomial(QQ, 1)
         for a in values:
-            total = total + char_poly(QQ, values, a)
+            total = poly_add(total, char_poly(QQ, values, a))
         assert total == upoly([F(1)])
 
     @given(distinct_rationals)

@@ -81,17 +81,13 @@ SIGNATURES = {
 }
 
 FIELD = [
-    "add",
     "coerce",
     "format",
     "inv",
     "is_negative",
-    "mul",
-    "neg",
     "normalize",
     "one",
     "parse",
-    "sub",
     "vec_scale",
     "vec_sub_scaled",
     "zero",
@@ -112,7 +108,7 @@ PUBLIC = {
             "tail",
             "terms",
         ],
-        ["__add__", "__mul__", "__neg__", "__sub__"],
+        ["__mul__", "__neg__"],
     ),
     Staircase: (
         [
