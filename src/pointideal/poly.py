@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heappop, heappush
-from operator import add as add_, itemgetter, lshift
+from operator import add as add_, itemgetter, lshift, sub as sub_
 from typing import Mapping
 
 Exponent = tuple[int, ...]
@@ -37,20 +37,12 @@ def lex_key(e: Exponent) -> Exponent:
     return e[::-1]
 
 
-def exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    """a - b; requires b to divide a."""
-    if not exp_divides(b, a):
-        raise ValueError(f"{b} does not divide {a}")
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def exp_divides(d: Exponent, e: Exponent) -> bool:
-    """True when X^d divides X^e, i.e. d <= e coordinatewise."""
-    return len(d) == len(e) and all(x <= y for x, y in zip(d, e))
+def packing(n: int, width: int) -> tuple[range, int]:
+    """The layout of packed exponents (see `Reducer`): the shift of each
+    of the n coordinates, X1 lowest, in fields of `width` bits, and the
+    guard bits, the top bit of every field."""
+    shifts = range(0, width * n, width)
+    return shifts, sum(1 << (s + width - 1) for s in shifts)
 
 
 def monomial_row(field, points, exponent: Exponent, rows: dict) -> list:
@@ -305,29 +297,26 @@ class Reducer:
     reference division.
     """
 
-    __slots__ = ("n", "elements", "_bound", "_width", "_guard", "_reducers")
+    __slots__ = ("n", "elements", "_bound", "_width", "_shifts", "_guard", "_reducers")
 
     def __init__(self, basis=()):
         self.n = None
         self.elements: list[Polynomial] = []
         self._bound = 1  # exceeds every coordinate of every element
         self._width = 0
-        self._guard = 0
+        self._shifts, self._guard = range(0), 0
         self._reducers: list[tuple[int, list]] = []  # (packed lead, packed tail), ascending
         for b in basis:
             self.add(b)
 
-    def _shifts(self) -> range:
-        return range(0, self._width * self.n, self._width)
-
     def _packer(self):
-        shifts = self._shifts()
+        shifts = self._shifts
         return lambda e: sum(map(lshift, e, shifts))
 
     def _widen(self, width: int) -> None:
         """Repack every element at the larger field width."""
         self._width = width
-        self._guard = sum(1 << (s + width - 1) for s in self._shifts())
+        self._shifts, self._guard = packing(self.n, width)
         pack = self._packer()
         self._reducers = [_packed(pack, b) for b in self.elements]
 
@@ -363,7 +352,7 @@ class Reducer:
         if f.is_zero:
             return f
         self._fit(max(self._bound, max(map(max, f.terms)) + 1))
-        guard, reducers, shifts = self._guard, self._reducers, self._shifts()
+        guard, reducers, shifts = self._guard, self._reducers, self._shifts
         mask = (1 << self._width) - 1
         fld = f.field
         norm = fld.normalize
@@ -422,20 +411,21 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S(f, g) = X^(lcm - lt f) * f - X^(lcm - lt g) * g for monic f, g.
-    Multiplying by a monomial only shifts exponents, so both shifted
-    polynomials are accumulated in one dict; the leading terms cancel."""
+    The leading terms cancel, so only the two tails are shifted, into one
+    dict: multiplying by a monomial only shifts exponents."""
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomial of zero is undefined")
     if not (f.is_monic() and g.is_monic()):
         raise ValueError("S-polynomial requires monic inputs")
     f._check_compatible(g)
-    lf, lg = f.leading_exponent(), g.leading_exponent()
-    lcm = exp_lcm(lf, lg)
-    shift_f, shift_g = exp_sub(lcm, lf), exp_sub(lcm, lg)
+    (lf, _), *tail_f = f.terms.items()
+    (lg, _), *tail_g = g.terms.items()
+    lcm = tuple(map(max, lf, lg))
+    shift_f, shift_g = tuple(map(sub_, lcm, lf)), tuple(map(sub_, lcm, lg))
     fld = f.field
     zero, norm = fld.zero, fld.normalize
-    terms = {tuple(map(add_, e, shift_f)): c for e, c in f.terms.items()}
-    for e, c in g.terms.items():
+    terms = {tuple(map(add_, e, shift_f)): c for e, c in tail_f}
+    for e, c in tail_g:
         e = tuple(map(add_, e, shift_g))
         terms[e] = norm(terms.get(e, zero) - c)
     return Polynomial._trusted(fld, f.n, terms)

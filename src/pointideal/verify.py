@@ -3,20 +3,52 @@ lexicographic basis of the vanishing ideal of a point set.
 
 Four checks: every element vanishes on every point; the basis has the
 reduced shape (monic, leading exponents exactly the staircase corners,
-tails inside the staircase); the S-polynomials that Buchberger's chain
-criterion keeps reduce to zero; and the staircase size equals the number
-of points.  Together they are equivalent to "this is the reduced basis":
-the first three make it a Groebner basis of an ideal containing the
-vanishing ideal, and the dimension count forces equality.
+tails inside the staircase); the S-polynomials of the critical pairs
+that the connectivity criterion keeps reduce to zero; and the staircase
+size equals the number of points.  Together they are equivalent to
+"this is the reduced basis": the first three make it a Groebner basis of
+an ideal containing the vanishing ideal, and the dimension count forces
+equality.
 
-The S-pair check skips a pair whose syzygy is a combination of syzygies
-with strictly smaller lcm (the chain criterion: Buchberger, "A criterion
-for detecting unnecessary reductions in the construction of Groebner
-bases", EUROSAM 1979; Gebauer and Moeller, "On an installation of
-Buchberger's algorithm", JSC 6, 1988), so it reaches the same verdict as
-reducing every pair.  It sets the basis up for division once (one
-`poly.Reducer`, built from the elements, never the one the engine hands
-over with its basis) and divides each kept S-polynomial by it.
+**Vanishing.**  Each element is evaluated at all points at once, as the
+sum of its coefficients times monomial rows (`poly.monomial_row`).  The
+sums are held raw (see `field`): each term adds the product c * r of
+two canonical scalars to a point's value, and each value is normalized
+once, before its zero test, so it stays at most the element's term
+count times p^2 on F_p.
+
+**Which S-pairs.**  Let L_1, ..., L_c be the distinct leading
+exponents, m_ij = lcm(L_i, L_j), and sigma_ij = (m_ij / L_i) e_i -
+(m_ij / L_j) e_j the syzygy of the leading terms behind the pair
+(i, j).  When the syzygies of a set of pairs generate every sigma_ij,
+the basis is a Groebner basis as soon as the S-polynomials of those
+pairs reduce to zero, since a reduction to zero is a standard
+representation (Gebauer and Moeller, "On an installation of
+Buchberger's algorithm", JSC 6, 1988).  The check keeps the pairs of the
+connectivity criterion (Caboara, Kreuzer and Robbiano, "Efficiently
+computing minimal sets of critical pairs", JSC 38, 2004).  For each lcm
+m of a pair, take V_m = {k : L_k divides m} and join k and l in V_m
+when lcm(L_k, L_l) != m, that is, when it properly divides m.  Then
+walk the pairs whose lcm is exactly m in (i, j) order, and keep a pair
+only when i and j are still in different components, joining them.
+
+Proof, by induction on m under divisibility: the syzygy of every pair
+whose lcm properly divides m is a combination of the kept pairs'.  A
+dropped pair (i, j) with lcm m has a path from i to j in V_m, each edge
+e a pair whose lcm m_e divides m: properly, or e is a kept pair with
+lcm m.  Since (m / m_kl) sigma_kl = (m / L_k) e_k - (m / L_l) e_l, the
+sum of +-(m / m_e) sigma_e along the path telescopes to sigma_ij.  So
+the kept pairs generate every syzygy.  The chain criterion (Buchberger,
+"A criterion for detecting unnecessary reductions in the construction
+of Groebner bases", EUROSAM 1979; Gebauer and Moeller 1988) drops
+(i, j) when some L_k divides m with lcm(L_i, L_k) != m and
+lcm(L_j, L_k) != m: then i, k, j is a path of joined edges, so every
+pair it drops is dropped here too.  Either way the verdict is that of
+reducing every pair.  Divisibility is the guard-bit test on packed
+exponents, as in `poly.Reducer`.  The check sets the basis up for
+division once (one `poly.Reducer`, built from the elements, never the
+one the engine hands over with its basis) and divides each kept
+S-polynomial by it.
 
 `verify_basis` decides reduced shape and dimension first; both cost
 O(terms).  Only when the shape passes are vanishing and the S-pairs
@@ -36,17 +68,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import lshift
 
 from .core import GroebnerBasis, PointSet, format_point
-from .poly import (
-    Reducer,
-    exp_divides,
-    exp_lcm,
-    lex_key,
-    monomial_row,
-    normal_form,
-    s_polynomial,
-)
+from .poly import Reducer, lex_key, monomial_row, normal_form, packing, s_polynomial
 
 
 @dataclass(frozen=True)
@@ -94,11 +119,12 @@ def check_vanishing(gb: GroebnerBasis, ps: PointSet) -> CheckResult:
     """Every element evaluates to zero at every point.
 
     Each element is evaluated at all points at once, as the sum of its
-    coefficients times monomial rows (`poly.monomial_row`); one row cache
-    serves every element, so under `verify_basis` at most |D| + #corners
-    rows are built, D the staircase.  Elements are tried in order and,
-    for each, the points in order, so the witness is the first failing
-    (element, point) pair."""
+    coefficients times monomial rows (`poly.monomial_row`), held raw and
+    normalized once per value (see the module docstring); one row cache
+    serves every element, so under `verify_basis` at most
+    |D| + #corners rows are built, D the staircase.  Elements are tried
+    in order and, for each, the points in order, so the witness is the
+    first failing (element, point) pair."""
     _check_compatible(gb, ps)
     fld, points = ps.field, ps.points
     rows: dict = {}
@@ -106,8 +132,8 @@ def check_vanishing(gb: GroebnerBasis, ps: PointSet) -> CheckResult:
         values = [fld.zero] * len(points)
         for e, c in f.terms.items():
             row = monomial_row(fld, points, e, rows)
-            values = fld.vec_sub_scaled(values, fld.normalize(-c), row)  # values + c * row
-        for pt, value in zip(points, values):
+            values = [v + c * r for v, r in zip(values, row)]
+        for pt, value in zip(points, map(fld.normalize, values)):
             if value != fld.zero:
                 witness = (
                     f"element with leading exponent {f.leading_exponent()} "
@@ -147,38 +173,56 @@ def check_reduced_shape(gb: GroebnerBasis) -> CheckResult:
     return CheckResult("reduced_shape", True)
 
 
-def _chain_pairs(leading) -> list[tuple[int, int]]:
-    """The index pairs i < j, in order, whose S-polynomials the chain
-    criterion keeps, for distinct leading exponents `leading`.
+def _find(root: dict, k: int) -> int:
+    """The representative of k's component, halving the path to it."""
+    while root[k] != k:
+        root[k] = k = root[root[k]]
+    return k
 
-    A pair is skipped when a third exponent L_k divides m = lcm(L_i, L_j)
-    with lcm(L_i, L_k) != m and lcm(L_j, L_k) != m.  Its syzygy is then
-    (m / lcm(L_i, L_k)) S_ik - (m / lcm(L_j, L_k)) S_jk, and both lcms
-    properly divide m; by induction on m under divisibility, the kept
-    pairs generate the syzygies of the leading terms.  No k in {i, j}
-    can skip the pair: lcm(L_j, L_i) = lcm(L_i, L_j) = m."""
-    lcm = {
-        (i, k): exp_lcm(a, b)
-        for i, a in enumerate(leading)
-        for k, b in enumerate(leading)
-    }
+
+def _connected_pairs(leading) -> list[tuple[int, int]]:
+    """The index pairs i < j, in order, that the connectivity criterion
+    keeps for the distinct leading exponents `leading` (see the module
+    docstring).  The components of V_m are set up when the first pair
+    with lcm m comes up, and each kept pair with lcm m joins two of them."""
+    if len(leading) < 2:
+        return []
+    # an lcm's coordinates are those of the L_k, all below 2^(width - 1)
+    shifts, guard = packing(len(leading[0]), max(map(max, leading)).bit_length() + 1)
+    packed = [sum(map(lshift, e, shifts)) for e in leading]
+    indices = range(len(leading))
+    lcm = [[0] * len(leading) for _ in indices]
+    for i, j in combinations(indices, 2):
+        lcm[i][j] = lcm[j][i] = sum(map(lshift, map(max, leading[i], leading[j]), shifts))
+    components: dict[int, dict] = {}  # m -> parent of each k in V_m
     kept = []
-    for i, j in combinations(range(len(leading)), 2):
-        m = lcm[i, j]
-        if not any(
-            lcm[i, k] != m and lcm[j, k] != m and exp_divides(b, m)
-            for k, b in enumerate(leading)
-        ):
+    for i, j in combinations(indices, 2):
+        m = lcm[i][j]
+        root = components.get(m)
+        if root is None:
+            guarded = m | guard
+            v = [k for k in indices if (guarded - packed[k]) & guard == guard]
+            root = components[m] = {k: k for k in v}
+            for a, k in enumerate(v):
+                for l in v[a + 1 :]:
+                    if lcm[k][l] != m:
+                        root[_find(root, k)] = _find(root, l)
+        ri, rj = _find(root, i), _find(root, j)
+        if ri != rj:
+            root[ri] = rj
             kept.append((i, j))
     return kept
 
 
 def check_buchberger(gb: GroebnerBasis) -> CheckResult:
-    """Every S-polynomial that the chain criterion keeps (`_chain_pairs`)
-    reduces to zero against the basis.  A reduction to zero is a standard
-    representation, so this holds exactly when the basis is a Groebner
-    basis, with the same verdict as reducing every pair; a failure names
-    the first failing kept pair.  One `Reducer` serves every pair."""
+    """Every S-polynomial of the pairs that the connectivity criterion
+    keeps (`_connected_pairs`) reduces to zero against the basis.  A
+    reduction to zero is a standard representation, and the kept pairs
+    generate the syzygies of the leading terms (see the module
+    docstring), so this holds exactly when the basis is a Groebner basis,
+    with the same verdict as reducing every pair; a failure names the
+    first failing kept pair in (i, j) order.  One `Reducer` serves every
+    pair."""
     elems = gb.elements
     leading = []
     for f in elems:
@@ -188,7 +232,7 @@ def check_buchberger(gb: GroebnerBasis) -> CheckResult:
     if len(set(leading)) != len(elems):
         return CheckResult("buchberger", False, "duplicate leading exponents")
     reducer = Reducer(elems)
-    for i, j in _chain_pairs(leading):
+    for i, j in _connected_pairs(leading):
         s = s_polynomial(elems[i], elems[j])
         if not normal_form(s, reducer).is_zero:
             witness = (

@@ -5,7 +5,9 @@ The package's `normal_form`, `check_vanishing`, `check_buchberger`,
 plain forms they replaced.  Tests require the tuned versions to return
 the same results: witnesses included for the first two, the same verdict
 for the S-pair check, which reduces fewer pairs, the same lifted
-polynomial and the same product.  The references apply `field.normalize`
+polynomial and the same product.  `reference_chain_pairs` is the pair
+selection the S-pair check made before the connectivity criterion; the
+pairs that criterion keeps must be a subset of it.  The references apply `field.normalize`
 after every native operation, as in ``normalize(a + b)``, where the
 package holds raw sums and normalizes once per coefficient.
 `reference_build_phi` and `reference_check_buchberger` call only the
@@ -13,18 +15,30 @@ references for division, product, S-polynomial, characteristic
 polynomials and the split of the slices around a corner, so no
 reference shares the code it checks.
 
-`evaluate`, `variable`, `poly_add` and `poly_sub` are plain helpers the
-tests build on; the package itself never evaluates a `Polynomial` at a
-point, nor adds or subtracts two of them.
+`evaluate`, `variable`, `poly_add`, `poly_sub`, `exp_divides` and
+`exp_lcm` are plain helpers the tests build on; the package itself never
+evaluates a `Polynomial` at a point, nor adds or subtracts two of them,
+and it tests divisibility and forms lcms on packed exponents.
 """
 
 from __future__ import annotations
 
 import heapq
 
+from itertools import combinations
+
 from pointideal import Polynomial
-from pointideal.poly import exp_divides, lex_key
+from pointideal.poly import lex_key
 from pointideal.verify import CheckResult
+
+
+def exp_divides(d, e) -> bool:
+    """True when X^d divides X^e, i.e. d <= e coordinatewise."""
+    return len(d) == len(e) and all(x <= y for x, y in zip(d, e))
+
+
+def exp_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def evaluate(f: Polynomial, point):
@@ -83,7 +97,7 @@ def reference_s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """X^(lcm - lt f) * f - X^(lcm - lt g) * g for monic f and g, as two
     `reference_mul` products and a `poly_sub`."""
     lf, lg = f.leading_exponent(), g.leading_exponent()
-    lcm = tuple(max(x, y) for x, y in zip(lf, lg))
+    lcm = exp_lcm(lf, lg)
 
     def shifted(h, lead):
         mono = Polynomial.monomial(h.field, h.n, tuple(x - y for x, y in zip(lcm, lead)))
@@ -178,6 +192,32 @@ def reference_check_buchberger(gb) -> CheckResult:
                 )
                 return CheckResult("buchberger", False, witness)
     return CheckResult("buchberger", True)
+
+
+def reference_chain_pairs(leading) -> list[tuple[int, int]]:
+    """The index pairs i < j, in order, whose S-polynomials the chain
+    criterion keeps, for distinct leading exponents `leading`.
+
+    A pair is skipped when a third exponent L_k divides m = lcm(L_i, L_j)
+    with lcm(L_i, L_k) != m and lcm(L_j, L_k) != m.  Its syzygy is then
+    (m / lcm(L_i, L_k)) S_ik - (m / lcm(L_j, L_k)) S_jk, and both lcms
+    properly divide m; by induction on m under divisibility, the kept
+    pairs generate the syzygies of the leading terms.  No k in {i, j}
+    can skip the pair: lcm(L_j, L_i) = lcm(L_i, L_j) = m."""
+    lcm = {
+        (i, k): exp_lcm(a, b)
+        for i, a in enumerate(leading)
+        for k, b in enumerate(leading)
+    }
+    kept = []
+    for i, j in combinations(range(len(leading)), 2):
+        m = lcm[i, j]
+        if not any(
+            lcm[i, k] != m and lcm[j, k] != m and exp_divides(b, m)
+            for k, b in enumerate(leading)
+        ):
+            kept.append((i, j))
+    return kept
 
 
 def reference_char_poly(field, values, node) -> Polynomial:

@@ -13,10 +13,11 @@ the comparisons.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pointideal import (
+    GroebnerBasis,
     PointSet,
     Polynomial,
     PrimeField,
@@ -24,13 +25,16 @@ from pointideal import (
     bm_gb,
     char_poly,
     char_poly_family,
+    check_vanishing,
     normal_form,
     poly,
     staircase_gb,
     verify_basis,
 )
 
-from reference import evaluate, reference_mul, reference_normal_form
+from pointideal.poly import lex_key
+
+from reference import evaluate, reference_check_vanishing, reference_mul, reference_normal_form
 from strategies import monic_bases, polynomials, rationals
 
 F2 = PrimeField(2)
@@ -149,17 +153,20 @@ def test_engines_agree_over_the_word_size_prime(ps):
 
 class CheckedField(PrimeField):
     """F_p that checks the delayed-reduction contract of `field`: every
-    scalar handed to `inv` or to a row kernel (`vec_scale`,
+    scalar handed to `inv`, to `format` or to a row kernel (`vec_scale`,
     `vec_sub_scaled`) is canonical, and every raw value handed to
-    `normalize` is below 2^12 * p^2, a sum of at most 2^12 products of
-    canonical scalars.  A Horner step held raw would grow by a field
-    width per step and break the bound.  Native ``+ - *`` cannot be
-    checked on plain ints; what they build is checked where it is read,
-    by `normalize` here and by the stored-coefficient check of
+    `normalize` is below `products` * p^2, a sum of at most `products`
+    products of canonical scalars; `products` is 2^12 unless a test sets
+    a tighter bound.  A Horner step held raw would grow by a field width
+    per step and break the bound.  Native ``+ - *`` cannot be checked on
+    plain ints; what they build is checked where it is read, by
+    `normalize` here and by the stored-coefficient check of
     `checked_fill`."""
 
+    products = 2**12
+
     def normalize(self, x):
-        assert abs(x) < 2**12 * self.p**2, f"a raw value grew to {x.bit_length()} bits"
+        assert abs(x) < self.products * self.p**2, f"a raw value grew to {x.bit_length()} bits"
         return super().normalize(x)
 
     def _check(self, *scalars):
@@ -168,6 +175,10 @@ class CheckedField(PrimeField):
     def inv(self, a):
         self._check(a)
         return super().inv(a)
+
+    def format(self, x):
+        self._check(x)
+        return super().format(x)
 
     def vec_scale(self, c, row):
         self._check(c, *row)
@@ -207,3 +218,28 @@ def test_raw_values_stay_bounded_and_only_canonical_ones_are_stored(ps):
         gb = staircase_gb(ps)
         assert verify_basis(gb, ps).overall
         assert gb == bm_gb(ps)
+
+
+@given(checked_pointsets(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_the_vanishing_check_normalizes_each_value_once(ps, data):
+    """`check_vanishing` adds one raw product of canonical scalars per
+    term to each point's value and normalizes the value once, so what it
+    hands `normalize` stays below (the most terms of an element) * p^2;
+    the monomial rows it builds hand over single products.  Checked on
+    the engine's basis and on a copy with one coefficient changed, whose
+    verdict and witness (a canonical value) must be the reference's."""
+    gb = staircase_gb(ps)
+    elements = list(gb.elements)
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(elements) - 1))
+        terms = dict(elements[i].terms)
+        e = data.draw(st.sampled_from(sorted(terms, key=lex_key)))
+        terms[e] = CHECKED.normalize(terms[e] + data.draw(st.integers(1, CHECKED.p - 1)))
+        assume(terms[e] or len(terms) > 1)
+        elements[i] = Polynomial(CHECKED, ps.n, terms)
+    basis = GroebnerBasis(gb.staircase, tuple(elements))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CheckedField, "products", max(len(f.terms) for f in elements))
+        ours = check_vanishing(basis, ps)
+    assert ours == reference_check_vanishing(basis, ps)

@@ -25,14 +25,16 @@ from pointideal import (
     verify,
     verify_basis,
 )
-from pointideal.poly import Reducer, exp_lcm, exp_sub, lex_key
+from pointideal.bench import SplitMix64, random_pointset
+from pointideal.poly import Reducer, lex_key
 
 from reference import (
     poly_add,
-    poly_sub,
+    reference_chain_pairs,
     reference_check_buchberger,
     reference_check_vanishing,
     reference_normal_form,
+    reference_s_polynomial,
 )
 from strategies import (
     F7,
@@ -86,11 +88,7 @@ def monic_pairs(draw):
 @given(monic_pairs())
 def test_s_polynomial_is_the_shifted_difference(pair):
     f, g = pair
-    lf, lg = f.leading_exponent(), g.leading_exponent()
-    lcm = exp_lcm(lf, lg)
-    mf = Polynomial.monomial(f.field, f.n, exp_sub(lcm, lf))
-    mg = Polynomial.monomial(g.field, g.n, exp_sub(lcm, lg))
-    expected = poly_sub(mf * f, mg * g)
+    expected = reference_s_polynomial(f, g)
     assert list(s_polynomial(f, g).terms.items()) == list(expected.terms.items())
 
 
@@ -294,6 +292,32 @@ def test_s_pair_reductions_never_exceed_the_pair_count(gb):
     assert s_pair_reductions(gb)[0] <= c * (c - 1) // 2
 
 
+@given(st.one_of(engine_mutants().map(lambda m: m[1]), random_monic_sets()))
+@settings(max_examples=200)
+def test_the_connectivity_criterion_keeps_a_subset_of_the_chain_pairs(gb):
+    """Every pair the chain criterion drops is dropped too: its third
+    exponent joins the pair's ends.  The kept pairs come in (i, j) order."""
+    leading = [f.leading_exponent() for f in gb.elements]
+    assume(len(set(leading)) == len(leading))
+    kept = verify._connected_pairs(leading)
+    assert kept == sorted(set(kept))
+    assert set(kept) <= set(reference_chain_pairs(leading))
+
+
+def test_the_kept_pair_count_on_the_first_grid_draws():
+    """The first five `grid4` benchmark instances, 36 points of F_5^4:
+    the connectivity criterion reduces fewer S-polynomials than the chain
+    criterion, and every basis still passes."""
+    rng = SplitMix64(101)
+    reduced, chain = [], []
+    for _ in range(5):
+        gb = staircase_gb(random_pointset(rng, PrimeField(5), 4, 36))
+        reduced.append(s_pair_reductions(gb))
+        chain.append(len(reference_chain_pairs([f.leading_exponent() for f in gb.elements])))
+    assert reduced == [(38, True), (35, True), (31, True), (35, True), (34, True)]
+    assert chain == [50, 50, 40, 48, 44]
+
+
 # -- the packed reduction kernel ----------------------------------------------
 
 ALL_FIELDS = st.sampled_from([QQ, F7, F13])
@@ -312,7 +336,7 @@ def reducer_problems(draw):
 
 
 @given(reducer_problems())
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_the_packed_kernel_matches_the_reference(problem):
     basis, fs = problem
     reducer = Reducer(basis)
