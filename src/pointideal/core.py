@@ -12,20 +12,17 @@ vanishing polynomial in X1 of the slices whose staircase already contains
 the corner's projection, and finally the lex-greatest-first division by the
 previously finished elements reduces every tail into the staircase.
 
-A representative whose leading exponent is a corner of its slice
-staircase is a stored element of the slice basis and is read, not
-recomputed.  Each division divides by a `poly.Reducer` set up once per
-level and grown by each finished element.  The basis a level returns
-carries that reducer, so a slice basis of two or more variables is
-divided by the reducer it was built in; a one-variable slice basis
-builds its reducer the first time a representative has to be computed.
+A slice representative is a stored element of the slice basis shifted
+by a monomial, so a level reads only its slices' staircases and
+elements, never divides by a slice basis, and divides its lifts by one
+`poly.Reducer`, set up empty and grown by each finished element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
+from operator import add
 
 from .interp import char_poly_family, univariate_vanishing, vanishing_coeffs
 from .poly import Exponent, Polynomial, Reducer, lex_key, normal_form
@@ -84,9 +81,6 @@ class PointSet:
     def __iter__(self):
         return iter(self.points)
 
-    def __contains__(self, pt):
-        return tuple(pt) in self.points
-
     def __eq__(self, other):
         return (
             isinstance(other, PointSet)
@@ -141,6 +135,8 @@ class GroebnerBasis:
     Construction keeps elements sorted by leading exponent but performs
     no deeper validation; see :mod:`pointideal.verify` for the full
     certification, which must also be able to examine broken bases.
+    A basis is only its staircase and elements; one level up, the engine
+    reads both and nothing else (see `slice_representative`).
     """
 
     staircase: Staircase
@@ -165,36 +161,30 @@ class GroebnerBasis:
         staircase cell."""
         return len(self.staircase)
 
-    @cached_property
-    def _reducer(self) -> Reducer:
-        """The elements set up for division: the reducer `staircase_gb`
-        built them in, or one built on first use for a basis no level
-        built.  The engine reduces slice representatives against it."""
-        return Reducer(self.elements)
-
 
 def slice_representative(beta_hat: Exponent, slice_gb: GroebnerBasis) -> Polynomial:
-    """The tail of the slice representative at beta_hat.
+    """The tail of a slice representative at beta_hat: a monic member of
+    the slice ideal with leading exponent beta_hat.
 
-    The representative is the unique monic polynomial with leading
-    exponent beta_hat and tail supported on the slice staircase that
-    vanishes on the slice: X^beta_hat minus its normal form.  Only the
-    tail is returned, the negated normal form, since that is all the
-    lift reads.
+    The representative is X^(beta_hat - lam) * g, for g the first element
+    of the slice basis whose leading exponent lam divides beta_hat, the
+    element `normal_form` would divide by first.  When beta_hat is a
+    corner of the slice staircase the shift is zero and g's own tail is
+    read.  A shift keeps the lex order of the terms, so the shifted tail
+    stays ordered and lies below beta_hat.  Only the tail is returned,
+    since that is all the lift reads.
 
-    When beta_hat is a corner of the slice staircase, the representative
-    is the slice basis element led by beta_hat, and its tail is read
-    from it.  Otherwise the normal form is computed by the slice basis's
-    reducer, the one its level built it in when it has two or more
-    variables."""
+    Any such representative will do, not only the reduced one X^beta_hat
+    minus its normal form: see `build_phi` for why the level's reduction
+    turns every lift into the same element."""
     beta_hat = tuple(beta_hat)
-    if beta_hat in slice_gb.staircase:
-        raise ValueError(f"{beta_hat} lies inside the staircase")
-    for f in slice_gb.elements:
-        if f.leading_exponent() == beta_hat:
-            return f.tail()
-    mono = Polynomial.monomial(slice_gb.field, slice_gb.n, beta_hat)
-    return -normal_form(mono, slice_gb._reducer)
+    for g in slice_gb.elements:
+        lam = g.leading_exponent()
+        if all(x <= y for x, y in zip(lam, beta_hat)):
+            shift = tuple(y - x for x, y in zip(lam, beta_hat))
+            terms = {tuple(map(add, e, shift)): c for e, c in islice(g.terms.items(), 1, None)}
+            return Polynomial._trusted(slice_gb.field, slice_gb.n, terms, ordered=True)
+    raise ValueError(f"{beta_hat} lies inside the staircase")
 
 
 def split_first_coordinates(beta: Exponent, slice_gbs) -> tuple[list, list]:
@@ -218,8 +208,24 @@ def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial
     misses the projected corner, with the characteristic polynomials in
     X1 read as dense coefficient lists; the lift is then multiplied once
     by the vanishing polynomial prod (X1 - a1) of the remaining slices,
-    whose staircase contains the projected corner.  The result has
-    leading exponent beta and vanishes on every point of the set.
+    whose staircase contains the projected corner.
+
+    Why the lift is right, whichever slice representatives it reads (see
+    `slice_representative`).  Before the product the lift is the sum over
+    the outside slices a of chi_a * (X^beta_hat + tail_a), and the chi_a
+    sum to 1, so it is X^beta_hat plus terms whose exponent in X2..Xn is
+    lex below beta_hat; times the monic vanishing polynomial of degree
+    beta[0], its leading term is X^beta.  On an inside slice the
+    vanishing polynomial is zero; on an outside slice a, chi_a is 1 and
+    every other chi is 0, so the lift restricts to a's representative,
+    which vanishes on the slice.  So the lift vanishes on every point of
+    the set.  Every lower term t of it that lies outside the staircase is
+    divisible by some corner gamma <= t < beta, whose element
+    `staircase_gb` has already finished, and no other corner divides
+    beta; so dividing by the finished elements leaves X^beta, a tail
+    inside the staircase, and a polynomial in the vanishing ideal: the
+    reduced element at beta, whichever representatives went in.
+    `staircase_gb` asserts the first two of these.
 
     The interpolation keeps one dense column per tail exponent
     gamma_hat of the representatives: entry k of the column is the
@@ -268,9 +274,9 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
     already the final element: its leading exponent is the corner and
     every tail exponent lies inside the staircase, which the two
     assertions below enforce, so it equals the corner monomial minus its
-    normal form against the finished basis.  The returned basis carries
-    the level's reducer, which divides slice representatives one level
-    up.
+    normal form against the finished basis (the proof is in `build_phi`).
+    A level reads its slices' staircases and elements only, and builds
+    exactly one reducer, which it keeps to itself.
     """
     fld = ps.field
     if not ps.points:
@@ -293,6 +299,4 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
                 f"tail exponents {stray} escaped the staircase at corner {corner}"
             )
         built.add(f)
-    gb = GroebnerBasis(stairs, tuple(built.elements))
-    object.__setattr__(gb, "_reducer", built)
-    return gb
+    return GroebnerBasis(stairs, tuple(built.elements))

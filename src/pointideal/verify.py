@@ -46,9 +46,8 @@ lcm(L_j, L_k) != m: then i, k, j is a path of joined edges, so every
 pair it drops is dropped here too.  Either way the verdict is that of
 reducing every pair.  Divisibility is the guard-bit test on packed
 exponents, as in `poly.Reducer`.  The check sets the basis up for
-division once (one `poly.Reducer`, built from the elements, never the
-one the engine hands over with its basis) and divides each kept
-S-polynomial by it.
+division once (one `poly.Reducer`, built from the elements) and divides
+each kept S-polynomial by it.
 
 `verify_basis` decides reduced shape and dimension first; both cost
 O(terms).  Only when the shape passes are vanishing and the S-pairs

@@ -234,12 +234,14 @@ def reference_char_poly(field, values, node) -> Polynomial:
 
 
 def reference_build_phi(field, beta, slice_gbs, stairs) -> Polynomial:
-    """The lift with each slice representative formed in full as the
-    monomial minus its reference normal form, one `reference_char_poly`
-    per node, and the inside-slice product formed factor by factor with
-    `reference_mul`.  A slice is inside when no leading exponent of its
-    basis divides the projected corner, read from the elements rather
-    than from the slice staircase."""
+    """The lift with each slice representative formed in full with
+    `reference_mul`, as the first slice element (lex-ascending) whose
+    leading exponent divides the projected corner times the monomial
+    that lifts that leading exponent to the corner, one
+    `reference_char_poly` per node, and the inside-slice product formed
+    factor by factor with `reference_mul`.  A slice is inside when no
+    leading exponent of its basis divides the projected corner, read
+    from the elements rather than from the slice staircase."""
     beta = tuple(beta)
     n = len(beta)
     if n < 2:
@@ -247,17 +249,21 @@ def reference_build_phi(field, beta, slice_gbs, stairs) -> Polynomial:
     beta_hat = beta[1:]
     if beta not in stairs.corners():
         raise ValueError(f"{beta} is not a corner of the staircase")
-    inside, outside = [], []
+    inside, outside, divisor_of = [], [], {}
     for a1, gb in slice_gbs:
-        divides = (all(x <= y for x, y in zip(b.leading_exponent(), beta_hat)) for b in gb.elements)
-        (outside if any(divides) else inside).append(a1)
-    gb_of = dict(slice_gbs)
+        divisors = [b for b in gb.elements if exp_divides(b.leading_exponent(), beta_hat)]
+        if divisors:
+            outside.append(a1)
+            divisor_of[a1] = divisors[0]
+        else:
+            inside.append(a1)
     chi = {a1: reference_char_poly(field, outside, a1) for a1 in outside}
     norm = field.normalize
     theta_terms = {(0,) + beta_hat: field.one}
     for a1 in outside:
-        mono = Polynomial.monomial(field, n - 1, beta_hat)
-        rep_tail = poly_sub(mono, reference_normal_form(mono, gb_of[a1].elements)).tail()
+        g = divisor_of[a1]
+        shift = tuple(x - y for x, y in zip(beta_hat, g.leading_exponent()))
+        rep_tail = reference_mul(Polynomial.monomial(field, n - 1, shift), g).tail()
         for (k,), c in chi[a1].terms.items():
             for gamma_hat, coeff in rep_tail.terms.items():
                 e = (k,) + gamma_hat

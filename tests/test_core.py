@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointideal import (
     DuplicatePointError,
@@ -19,9 +20,10 @@ from pointideal import (
 )
 from pointideal import core
 from pointideal.core import split_first_coordinates
+from pointideal.poly import lex_key
 
 from reference import evaluate, poly_add, poly_sub, reference_build_phi, variable
-from strategies import pointsets, polynomials
+from strategies import F13, grid_pointsets, pointsets, polynomials
 
 
 def qpoly(terms, n=2):
@@ -97,11 +99,12 @@ class TestComputeStaircase:
 
 class TestSliceRepresentative:
     # slice_representative returns the representative's tail; the
-    # representative is the monomial X^beta_hat plus that tail
+    # representative is the monomial X^beta_hat plus that tail, a stored
+    # slice element shifted by a monomial
     def test_beyond_a_single_root(self):
         gb = staircase_gb(PointSet(QQ, 1, [(3,)]))
         tail = slice_representative((2,), gb)
-        assert tail == Polynomial(QQ, 1, {(0,): F(-9)})
+        assert tail == Polynomial(QQ, 1, {(1,): F(-3)})
 
     def test_beyond_two_roots(self):
         gb = staircase_gb(PointSet(QQ, 1, [(0,), (2,)]))
@@ -111,6 +114,12 @@ class TestSliceRepresentative:
     def test_corner_returns_the_element(self):
         gb = staircase_gb(PointSet(QQ, 1, [(0,), (2,)]))
         assert slice_representative((2,), gb) == gb.elements[0].tail()
+
+    def test_the_first_dividing_element_is_shifted(self):
+        # on the grid {0, 1}^2 both leading exponents (2, 0) and (0, 2)
+        # divide (2, 2); the lex-smaller one, X1^2 - X1, is shifted by X2^2
+        gb = staircase_gb(PointSet(QQ, 2, [(0, 0), (0, 1), (1, 0), (1, 1)]))
+        assert slice_representative((2, 2), gb) == qpoly({(1, 2): -1})
 
     def test_inside_staircase_rejected(self):
         gb = staircase_gb(PointSet(QQ, 1, [(0,), (2,)]))
@@ -124,7 +133,6 @@ class TestSliceRepresentative:
         assert rep.is_monic() and rep.leading_exponent() == (3,)
         for v in (F(1), F(4)):
             assert evaluate(rep, (v,)) == 0
-        assert all(e in gb.staircase for e in tail.terms)
 
 
 def slice_bases(ps):
@@ -156,7 +164,7 @@ class TestBuildPhi:
         )
         g = qpoly({(2,): 1, (1,): -2}, n=1)
         h = qpoly({(2,): 1, (1,): -5, (0,): 4}, n=1)
-        i = qpoly({(2,): 1, (0,): -9}, n=1)
+        i = qpoly({(2,): 1, (1,): -3}, n=1)  # X2 * (X2 - 3), the X1 = 2 slice
         nodes = [F(1), F(2), F(3)]
         expected = Polynomial(QQ, 2)
         for node, rep in [(F(1), g), (F(2), i), (F(3), h)]:
@@ -181,13 +189,55 @@ class TestBuildPhi:
             )
 
     @settings(max_examples=40, deadline=None)
-    @given(pointsets(max_n=3).filter(lambda ps: ps.n >= 2))
+    @given(
+        st.one_of(pointsets(max_n=3), grid_pointsets(max_size=20)).filter(lambda ps: ps.n >= 2)
+    )
     def test_agrees_with_the_reference_at_every_corner(self, ps):
         bases = slice_bases(ps)
         stairs = compute_staircase(ps)
         for corner in stairs.sorted_corners():
             got = build_phi(ps.field, corner, bases, stairs)
             assert got == reference_build_phi(ps.field, corner, bases, stairs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.one_of(pointsets(fields=(QQ, F13)), grid_pointsets(max_size=20)).filter(
+            lambda ps: ps.n >= 2
+        ),
+        st.data(),
+    )
+    def test_any_slice_representatives_reduce_to_the_engines_element(self, ps, data):
+        """The lift may read any monic member of each slice ideal led by
+        the projected corner: add to each representative a multiple of a
+        slice element led below it, and dividing the lift by the elements
+        finished before the corner still gives the engine's element."""
+        fld = ps.field
+        bases = slice_bases(ps)
+        stairs = compute_staircase(ps)
+        gb = staircase_gb(ps)
+        represent = core.slice_representative
+
+        def disturbed(beta_hat, slice_gb):
+            tail = represent(beta_hat, slice_gb)
+            top = lex_key(tuple(beta_hat))
+            lower = [g for g in slice_gb.elements if lex_key(g.leading_exponent()) < top]
+            if not lower:  # beta_hat is the slice's lex-least corner
+                return tail
+            g = data.draw(st.sampled_from(lower))
+            q = data.draw(polynomials(fld, slice_gb.n, cap=2, max_terms=4))
+            lead = g.leading_exponent()
+            below = {
+                e: c
+                for e, c in q.terms.items()
+                if lex_key(tuple(x + y for x, y in zip(e, lead))) < top
+            }
+            return poly_add(tail, Polynomial(fld, slice_gb.n, below) * g)
+
+        for i, f in enumerate(gb.elements):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "slice_representative", disturbed)
+                phi = build_phi(fld, f.leading_exponent(), bases, stairs)
+            assert normal_form(phi, gb.elements[:i]) == f
 
     def test_one_product_per_lift(self, example_a_prime, monkeypatch):
         # corner (3, 0) has three inside slices and (2, 1) two; the
@@ -243,7 +293,7 @@ class TestStaircaseGb:
             QQ, (0, 2), slice_bases(example_a_prime), compute_staircase(example_a_prime)
         )
         c = phi.terms[(2, 1)]
-        assert c == F(-7, 2)
+        assert c == F(-1, 2)
         assert by_corner[(0, 2)] == poly_sub(phi, Polynomial.constant(QQ, 2, c) * by_corner[(2, 1)])
 
     def test_single_point(self):

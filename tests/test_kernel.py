@@ -29,7 +29,6 @@ from pointideal.bench import SplitMix64, random_pointset
 from pointideal.poly import Reducer, lex_key
 
 from reference import (
-    poly_add,
     reference_chain_pairs,
     reference_check_buchberger,
     reference_check_vanishing,
@@ -459,7 +458,7 @@ def test_the_certificate_builds_one_reducer_per_basis(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ps, reduces",
+    "ps, shifts",
     [
         (PointSet(PrimeField(3), 3, product(range(3), repeat=3)), False),
         (PointSet(PrimeField(5), 3, [p for p in product(range(5), repeat=3) if sum(p) % 3]), True),
@@ -467,15 +466,14 @@ def test_the_certificate_builds_one_reducer_per_basis(monkeypatch):
     ],
     ids=["grid F_3^3", "sparse F_5^3", "five points"],
 )
-def test_the_engine_builds_one_reducer_per_level_and_per_reduced_slice(ps, reduces, monkeypatch):
+def test_the_engine_builds_one_reducer_per_level_and_none_per_slice(ps, shifts, monkeypatch):
     """A level is a `staircase_gb` call that lifts corners (two or more
-    variables); a slice counts when `slice_representative` divides by its
-    basis at least once, however many corners ask, and it has one
-    variable: a slice of two or more variables is divided by the reducer
-    its level built.  On a full grid every representative is a stored
-    slice element, so no slice counts."""
+    variables).  Each level builds one reducer and divides only by it;
+    `slice_representative` never divides, also when it shifts a slice
+    element because the projected corner is not a slice corner.  On a
+    full grid every projected corner is a slice corner."""
     built = count_reducers(monkeypatch)
-    levels, slices_reduced, divisions = [], {}, []  # slices by id, kept alive
+    levels, shifted, divisions, in_slices = [], [], [], []
     engine, represent, reduce = core.staircase_gb, core.slice_representative, core.normal_form
 
     def level(ps):
@@ -486,8 +484,9 @@ def test_the_engine_builds_one_reducer_per_level_and_per_reduced_slice(ps, reduc
     def representative(beta_hat, slice_gb):
         before = len(divisions)
         tail = represent(beta_hat, slice_gb)
-        if len(divisions) > before:
-            slices_reduced[id(slice_gb)] = slice_gb
+        in_slices.append(len(divisions) - before)
+        if tuple(beta_hat) not in slice_gb.staircase.corners():
+            shifted.append(beta_hat)
         return tail
 
     def division(f, basis):
@@ -499,53 +498,10 @@ def test_the_engine_builds_one_reducer_per_level_and_per_reduced_slice(ps, reduc
     monkeypatch.setattr(core, "normal_form", division)
     gb = core.staircase_gb(ps)
     assert gb == bm_gb(ps)
-    assert bool(slices_reduced) == reduces
-    one_variable = [slice_gb for slice_gb in slices_reduced.values() if slice_gb.n == 1]
-    assert len(built) == len(levels) + len(one_variable)
-    assert all(isinstance(basis, Reducer) for basis in divisions)
+    assert bool(shifted) == shifts
+    assert in_slices and not any(in_slices)
+    assert len(built) == len(levels)
     assert {id(basis) for basis in divisions} == {id(r) for r in built}
-
-
-@given(
-    st.one_of(pointsets(fields=(QQ, F13)), grid_pointsets()).filter(lambda ps: ps.n >= 3),
-    st.data(),
-)
-@settings(deadline=None)
-def test_each_level_hands_its_reducer_to_the_basis_it_returns(ps, data):
-    """Every basis of two or more variables the engine returns, the top
-    one and each slice one level down, carries the reducer its level
-    built, and that reducer divides as a fresh one built from the
-    elements does, term for term, also on terms placed on the cells."""
-    returned, levels = [], []
-    engine, reducer = core.staircase_gb, core.Reducer
-
-    def level(ps):
-        gb = engine(ps)
-        if ps.n >= 2:
-            returned.append(gb)
-        return gb
-
-    def recorded(*args):
-        r = reducer(*args)
-        if not args:  # a level's reducer starts empty and grows by `add`
-            levels.append(r)
-        return r
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "staircase_gb", level)
-        mp.setattr(core, "Reducer", recorded)
-        core.staircase_gb(ps)
-    assert len(returned) == len(levels)
-    for gb, built in zip(returned, levels):
-        assert vars(gb)["_reducer"] is built
-        assert built.elements == list(gb.elements)
-        fresh = Reducer(gb.elements)
-        cells = sorted(gb.staircase.cells, key=lex_key)
-        f = data.draw(polynomials(ps.field, gb.n, cap=4))
-        on_cells = data.draw(st.dictionaries(st.sampled_from(cells), nonzero_scalars(ps.field)))
-        for g in (f, poly_add(f, Polynomial(ps.field, gb.n, on_cells))):
-            ours = normal_form(g, built)
-            assert list(ours.terms.items()) == list(normal_form(g, fresh).terms.items())
 
 
 # -- the oracle's row cache ----------------------------------------------------

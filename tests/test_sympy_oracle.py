@@ -19,8 +19,9 @@ ideal is divisible by one of G's; the leading exponents of sympy's
 reduced basis of (G) generate them all, so `check_buchberger` must fail
 exactly when one of those is divisible by no leading exponent of G.
 
-The corpus and the broken bases are fixed.  The oracle tests are skipped
-where sympy is not installed.
+The corpus and the broken bases are fixed; a small hypothesis set adds
+random draws of at most six points.  The oracle tests are skipped where
+sympy is not installed.
 """
 
 import ast
@@ -31,6 +32,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pointideal
 from pointideal import (
@@ -149,6 +152,32 @@ def test_both_engines_equal_sympys_reduced_basis(field, n, count):
     assert list(bm_gb(ps).elements) == expected
 
 
+@st.composite
+def small_pointsets(draw):
+    """At most six distinct points of QQ^2, F_7^2 or F_5^3; rational
+    coordinates are k/d with |k| <= 4 and d in 1..3, as in the corpus."""
+    field, n = draw(st.sampled_from([(QQ, 2), (PrimeField(7), 2), (PrimeField(5), 3)]))
+    if field == QQ:
+        coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    else:
+        coord = st.integers(0, field.p - 1)
+    points = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=6, unique=True))
+    return PointSet(field, n, points)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_pointsets())
+def test_both_engines_equal_sympys_reduced_basis_on_random_draws(sympy, ps):
+    expected = sympy_basis(sympy, ps.field, ps.n, ps.points)
+    assert list(staircase_gb(ps).elements) == expected
+    assert list(bm_gb(ps).elements) == expected
+
+
 @pytest.mark.parametrize("field, n, count", CORPUS)
 def test_the_certificate_accepts_sympys_basis(field, n, count):
     """sympy's basis with the staircase read off its own leading
@@ -208,13 +237,51 @@ def test_the_s_pair_check_fails_exactly_when_sympy_finds_a_new_leading_exponent(
     assert any(verdicts) and not all(verdicts)
 
 
+PACKAGE = Path(pointideal.__file__).parent
+
+
 def test_the_package_does_not_import_sympy():
-    package = Path(pointideal.__file__).parent
     imported = set()
-    for path in package.rglob("*.py"):
+    for path in PACKAGE.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 imported.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add(node.module)
     assert not {name for name in imported if name.split(".")[0] == "sympy"}
+
+
+def sibling_imports(module: str) -> dict[str, set]:
+    """What a module of the package takes from each other module of it:
+    {module: names}, with "*" for a module imported whole."""
+    taken: dict[str, set] = {}
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if not node.level:
+                if source.split(".")[0] != "pointideal":
+                    continue
+                source = source.partition(".")[2]
+            if source:
+                taken.setdefault(source, set()).update(alias.name for alias in node.names)
+            else:  # from . import core
+                for alias in node.names:
+                    taken.setdefault(alias.name, set()).add("*")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("pointideal."):
+                    taken.setdefault(alias.name.split(".")[1], set()).add("*")
+    return taken
+
+
+def test_the_engines_share_field_poly_and_staircase_and_nothing_else():
+    """The oracle and the certificate take from the paper's engine only
+    the data classes (and the certificate its point notation), and the
+    paper's engine imports neither of them."""
+    shared = {"core", "field", "poly", "staircase"}
+    bm, verify = sibling_imports("bm"), sibling_imports("verify")
+    assert set(bm) <= shared and set(verify) <= shared
+    assert bm["core"] == {"GroebnerBasis", "PointSet"}
+    assert verify["core"] == {"GroebnerBasis", "PointSet", "format_point"}
+    assert not {"bm", "verify"} & set(sibling_imports("core"))
