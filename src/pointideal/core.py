@@ -14,8 +14,13 @@ previously finished elements reduces every tail into the staircase.
 
 A slice representative is a stored element of the slice basis shifted
 by a monomial, so a level reads only its slices' staircases and
-elements, never divides by a slice basis, and divides its lifts by one
-`poly.Reducer`, set up empty and grown by each finished element.
+elements and never divides by a slice basis.  Most lifts already have
+every tail term inside the staircase, and such a lift is its element as
+it stands (see `staircase_gb`); a level divides only the others, by one
+`poly.Reducer` set up from the finished elements on the first lift that
+needs it and grown by each element finished after it.  The slices and
+stacked staircases the recursion builds are valid by construction and
+are not validated again.
 """
 
 from __future__ import annotations
@@ -45,6 +50,12 @@ class DuplicatePointError(ValueError):
         )
 
 
+def _fill(ps: "PointSet", field, n: int, points: tuple) -> None:
+    object.__setattr__(ps, "field", field)
+    object.__setattr__(ps, "n", n)
+    object.__setattr__(ps, "points", points)
+
+
 class PointSet:
     """A finite set of pairwise-distinct points with exact coordinates.
 
@@ -68,9 +79,16 @@ class PointSet:
             if pt in seen:
                 raise DuplicatePointError(seen[pt], idx, format_point(field, pt))
             seen[pt] = idx
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "points", tuple(sorted(coerced)))
+        _fill(self, field, n, tuple(sorted(coerced)))
+
+    @classmethod
+    def _trusted(cls, field, n: int, points: tuple) -> "PointSet":
+        """A point set from points the caller vouches for, without the
+        checks of the public constructor: a sorted tuple of pairwise
+        distinct tuples of n coordinates, each canonical in `field`."""
+        ps = object.__new__(cls)
+        _fill(ps, field, n, points)
+        return ps
 
     def __setattr__(self, name, value):
         raise AttributeError("PointSet is immutable")
@@ -98,7 +116,11 @@ class PointSet:
 
 def slice_decompose(ps: PointSet) -> list[tuple[object, PointSet]]:
     """Group the points by first coordinate; each slice is re-expressed in
-    the remaining coordinates.  Keys ascend in the field's natural order."""
+    the remaining coordinates.  Keys ascend in the field's natural order.
+
+    The points of ps are sorted, so the keys arrive ascending, and the
+    points of one slice arrive sorted and distinct; their coordinates
+    are already canonical, so each slice is built without re-validation."""
     if ps.n < 2:
         raise ValueError("slicing needs dimension >= 2")
     if not ps.points:
@@ -107,7 +129,8 @@ def slice_decompose(ps: PointSet) -> list[tuple[object, PointSet]]:
     for pt in ps.points:
         groups.setdefault(pt[0], []).append(pt[1:])
     return [
-        (a1, PointSet(ps.field, ps.n - 1, groups[a1])) for a1 in sorted(groups)
+        (a1, PointSet._trusted(ps.field, ps.n - 1, tuple(part)))
+        for a1, part in groups.items()
     ]
 
 
@@ -232,6 +255,15 @@ def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial
     coefficient of X1^k * X^gamma_hat, summed over the slices as raw
     products coeff * chi_k and normalized once when the column is read
     (delayed reduction, see `field`).
+
+    Both factors are written lex-descending, with their zero entries
+    skipped, so neither is sorted.  X_n is the most significant
+    variable, so (k,) + gamma_hat is ordered by gamma_hat first and by k
+    only within a column.  Every gamma_hat is a tail exponent of a
+    representative, so lex below beta_hat: the lead (0,) + beta_hat comes
+    first, then the columns by gamma_hat descending, each from k = #outside
+    - 1 down to 0.  The vanishing polynomial is a polynomial in X1 alone,
+    written from its top degree down.
     """
     beta = tuple(beta)
     n = len(beta)
@@ -254,13 +286,17 @@ def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial
                 columns[gamma_hat] = [x + coeff * c for x, c in zip(column, chi_a1)]
     norm = field.normalize
     theta_terms: dict[Exponent, object] = {(0,) + beta_hat: field.one}
-    for gamma_hat, column in columns.items():
-        for k, x in enumerate(column):
-            theta_terms[(k,) + gamma_hat] = norm(x)
+    for gamma_hat in sorted(columns, key=lex_key, reverse=True):
+        column = columns[gamma_hat]
+        for k in reversed(range(len(column))):
+            c = norm(column[k])
+            if c:
+                theta_terms[(k,) + gamma_hat] = c
     rest = (0,) * (n - 1)
-    vanishing = {(k,) + rest: c for k, c in enumerate(vanishing_coeffs(field, inside))}
-    theta = Polynomial._trusted(field, n, theta_terms)
-    return theta * Polynomial._trusted(field, n, vanishing)
+    coeffs = vanishing_coeffs(field, inside)
+    vanishing = {(k,) + rest: coeffs[k] for k in reversed(range(len(coeffs))) if coeffs[k]}
+    theta = Polynomial._trusted(field, n, theta_terms, ordered=True)
+    return theta * Polynomial._trusted(field, n, vanishing, ordered=True)
 
 
 def staircase_gb(ps: PointSet) -> GroebnerBasis:
@@ -275,8 +311,18 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
     every tail exponent lies inside the staircase, which the two
     assertions below enforce, so it equals the corner monomial minus its
     normal form against the finished basis (the proof is in `build_phi`).
-    A level reads its slices' staircases and elements only, and builds
-    exactly one reducer, which it keeps to itself.
+
+    Only a lift with a stray term, a tail exponent outside the
+    staircase D, is divided.  For any other lift at the corner beta,
+    no finished leading exponent divides any of its terms: a corner
+    dividing a cell of D would put the corner in D, since D is a lower
+    set, and corners lie outside it; a corner other than beta dividing
+    beta would contradict the minimality of beta among the exponents
+    outside D.  So `normal_form` would return the lift itself.  A level
+    reads its slices' staircases and elements only, builds its one
+    reducer from the finished elements on the first lift that strays,
+    adds each later element to it, and keeps it to itself; a level
+    where no lift strays builds none.
     """
     fld = ps.field
     if not ps.points:
@@ -288,15 +334,24 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
     stairs = staircase_sum(
         [gb.staircase.prepend_zero() for _, gb in slice_gbs], ps.n
     )
-    built = Reducer()
+    cells = stairs.cells
+    finished: list[Polynomial] = []
+    reducer = None
     for corner in stairs.sorted_corners():
-        f = normal_form(build_phi(fld, corner, slice_gbs, stairs), built)
+        f = build_phi(fld, corner, slice_gbs, stairs)
+        stray = [e for e in islice(f.terms, 1, None) if e not in cells]
+        if stray:
+            if reducer is None:
+                reducer = Reducer(finished)
+            f = normal_form(f, reducer)
+            stray = [e for e in islice(f.terms, 1, None) if e not in cells]
         if f.is_zero or f.leading_exponent() != corner:
             raise AssertionError(f"reduced lift lost its leading exponent {corner}")
-        stray = [e for e in islice(f.terms, 1, None) if e not in stairs.cells]
         if stray:
             raise AssertionError(
                 f"tail exponents {stray} escaped the staircase at corner {corner}"
             )
-        built.add(f)
-    return GroebnerBasis(stairs, tuple(built.elements))
+        finished.append(f)
+        if reducer is not None:
+            reducer.add(f)
+    return GroebnerBasis(stairs, tuple(finished))

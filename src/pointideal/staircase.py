@@ -33,6 +33,12 @@ def _dec(cell: Exponent, axis: int) -> Exponent:
     return cell[:axis] + (cell[axis] - 1,) + cell[axis + 1 :]
 
 
+def _fill(d: "Staircase", n: int, cells: frozenset) -> None:
+    object.__setattr__(d, "n", n)
+    object.__setattr__(d, "cells", cells)
+    object.__setattr__(d, "_corners", None)
+
+
 class Staircase:
     """An immutable validated lower set."""
 
@@ -48,9 +54,17 @@ class Staircase:
             for i in range(n):
                 if c[i] and _dec(c, i) not in cellset:
                     raise NotLowerSetError(c, i)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cells", cellset)
-        object.__setattr__(self, "_corners", None)
+        _fill(self, n, cellset)
+
+    @classmethod
+    def _trusted(cls, n: int, cells: frozenset) -> "Staircase":
+        """A staircase from cells the caller vouches for, without the
+        lower-set check of the public constructor: `cells` is a frozenset
+        of tuples of n non-negative ints, closed under decrementing any
+        coordinate.  It is kept, not copied."""
+        d = object.__new__(cls)
+        _fill(d, n, cells)
+        return d
 
     def __setattr__(self, name, value):
         raise AttributeError("Staircase is immutable")
@@ -108,8 +122,9 @@ class Staircase:
         return counts
 
     def prepend_zero(self) -> "Staircase":
-        """Embed into one more dimension as {(0,) + d}."""
-        return Staircase(self.n + 1, {(0,) + c for c in self.cells})
+        """Embed into one more dimension as {(0,) + d}, a lower set
+        because d is one."""
+        return Staircase._trusted(self.n + 1, frozenset((0,) + c for c in self.cells))
 
     def render(self) -> str:
         """ASCII picture for n = 2: rows are X2 descending, 'o' marks a
@@ -132,11 +147,22 @@ def staircase_sum(family: Iterable[Staircase], n: int) -> Staircase:
     """Sum of a finite family: columns over the drop-first projection are
     stacked, the fiber size over each column being the sum of the
     family's fiber sizes.  The empty family yields the empty staircase,
-    which is the neutral element."""
+    which is the neutral element.
+
+    The sum is a lower set, so it is built without the constructor's
+    check.  In a lower set d the fiber over dhat is {0, ..., c_d(dhat) - 1},
+    and the column count c_d is monotone: dhat' <= dhat coordinatewise
+    gives c_d(dhat') >= c_d(dhat), since (j,) + dhat in d puts
+    (j,) + dhat' in d.  A sum of monotone counts is monotone, and the
+    cells {(j,) + dhat : j < C(dhat)} of a monotone count C are closed
+    under lowering j (j - 1 < C(dhat)) and under lowering a coordinate
+    of dhat (j < C(dhat) <= C(dhat'))."""
+    if n < 1:
+        raise ValueError("ambient dimension must be >= 1")
     counts: Counter = Counter()
     for d in family:
         if d.n != n:
             raise ValueError(f"dimension mismatch: {d.n} vs {n}")
         counts.update(d.column_counts())
-    cells = {(j,) + dhat for dhat, c in counts.items() for j in range(c)}
-    return Staircase(n, cells)
+    cells = frozenset((j,) + dhat for dhat, c in counts.items() for j in range(c))
+    return Staircase._trusted(n, cells)

@@ -61,6 +61,14 @@ def staircase_pairs(draw, max_n: int = 3, cap: int = 3):
 
 
 @st.composite
+def staircase_families(draw, max_n: int = 3, cap: int = 3, max_size: int = 4):
+    """A dimension and a list of staircases of that dimension."""
+    n = draw(st.integers(1, max_n))
+    generators = draw(st.lists(st.lists(exponents(n, cap), max_size=4), max_size=max_size))
+    return n, [Staircase(n, lower_closure(gens, n)) for gens in generators]
+
+
+@st.composite
 def polynomials(draw, field=QQ, n: int = 2, cap: int = 3, max_terms: int = 6):
     coeffs = rationals() if field == QQ else prime_scalars(field.p)
     terms = draw(st.dictionaries(exponents(n, cap), coeffs, max_size=max_terms))

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -114,6 +115,26 @@ def test_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys, command):
         argv = ["check", "--points", points, "--basis", str(deep)]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {deep}: JSON nested too deeply\n")
+
+
+@pytest.mark.parametrize("command", ["gb", "staircase", "compare", "bench"])
+def test_too_many_coordinates_exit_2_with_one_line(tmp_path, capsys, command):
+    """The engines recurse once per coordinate, so 600 coordinates pass
+    Python's recursion limit."""
+    points = write_json(tmp_path / "points.json", {
+        "field": {"type": "prime", "p": 7},
+        "dimension": 600,
+        "points": [["0"] * 600, ["1"] * 600],
+    })
+    if command == "bench":
+        argv = ["bench", "--seed", "1", "--sizes", "2", "--trials", "1", "--dim", "600"]
+    else:
+        argv = [command, "--points", points]
+    assert main(argv) == 2
+    limit = sys.getrecursionlimit()
+    assert capsys.readouterr().err == (
+        f"error: too many coordinates: recursion deeper than {limit} calls\n"
+    )
 
 
 def test_a_basis_of_another_dimension_exits_2(tmp_path, capsys):

@@ -8,6 +8,7 @@ from pointideal import (
     DuplicatePointError,
     PointSet,
     Polynomial,
+    PrimeField,
     QQ,
     Staircase,
     build_phi,
@@ -74,6 +75,18 @@ class TestSliceDecompose:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             slice_decompose(PointSet(QQ, 2, []))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(pointsets(), grid_pointsets()).filter(lambda ps: ps.n >= 2))
+    def test_slices_equal_validated_point_sets(self, ps):
+        """The slices are built without the constructor's checks; each
+        equals the point set the constructor makes of its points."""
+        slices = slice_decompose(ps)
+        keys = [a1 for a1, _ in slices]
+        assert keys == sorted(set(keys))
+        for _, part in slices:
+            validated = PointSet(ps.field, ps.n - 1, part.points)
+            assert part == validated and hash(part) == hash(validated)
 
 
 class TestComputeStaircase:
@@ -238,6 +251,45 @@ class TestBuildPhi:
                 mp.setattr(core, "slice_representative", disturbed)
                 phi = build_phi(fld, f.leading_exponent(), bases, stairs)
             assert normal_form(phi, gb.elements[:i]) == f
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            pointsets(fields=(QQ, F13)),
+            pointsets(fields=(PrimeField(2), PrimeField(5)), max_size=12),
+            grid_pointsets(max_size=20),
+        ).filter(lambda ps: ps.n >= 2)
+    )
+    def test_the_lift_is_written_in_order_and_kept_when_it_stays_inside(self, ps):
+        """`build_phi` hands its product two factors written
+        lex-descending with no zero coefficient (the `ordered=True`
+        contract of `Polynomial._trusted`); over F_2 and F_5 column and
+        vanishing coefficients often normalize to 0.  A lift whose tail
+        lies inside the staircase is already the engine's element, so
+        dividing it by the earlier elements leaves it as it is."""
+        fld = ps.field
+        bases = slice_bases(ps)
+        stairs = compute_staircase(ps)
+        gb = staircase_gb(ps)
+        factors = []
+        mul = Polynomial.__mul__
+
+        def recorded(self, other):
+            factors.extend((self, other))
+            return mul(self, other)
+
+        for i, f in enumerate(gb.elements):
+            corner = f.leading_exponent()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Polynomial, "__mul__", recorded)
+                phi = build_phi(fld, corner, bases, stairs)
+            for p in factors:
+                keys = [lex_key(e) for e in p.terms]
+                assert keys == sorted(set(keys), reverse=True)
+                assert all(c != fld.zero and fld.coerce(c) == c for c in p.terms.values())
+            factors.clear()
+            if all(e in stairs for e in list(phi.terms)[1:]):
+                assert normal_form(phi, gb.elements[:i]) == phi == f
 
     def test_one_product_per_lift(self, example_a_prime, monkeypatch):
         # corner (3, 0) has three inside slices and (2, 1) two; the

@@ -458,50 +458,84 @@ def test_the_certificate_builds_one_reducer_per_basis(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ps, shifts",
+    "ps, shifts, divides",
     [
-        (PointSet(PrimeField(3), 3, product(range(3), repeat=3)), False),
-        (PointSet(PrimeField(5), 3, [p for p in product(range(5), repeat=3) if sum(p) % 3]), True),
-        (PointSet(QQ, 2, [(1, 0), (1, 2), (2, 3), (3, 1), (3, 4)]), True),
+        (PointSet(PrimeField(3), 3, product(range(3), repeat=3)), False, False),
+        (
+            PointSet(PrimeField(5), 3, [p for p in product(range(5), repeat=3) if sum(p) % 3]),
+            True,
+            True,
+        ),
+        (PointSet(QQ, 2, [(1, 0), (1, 2), (2, 3), (3, 1), (3, 4)]), True, True),
     ],
     ids=["grid F_3^3", "sparse F_5^3", "five points"],
 )
-def test_the_engine_builds_one_reducer_per_level_and_none_per_slice(ps, shifts, monkeypatch):
+def test_the_engine_builds_a_reducer_only_where_a_lift_strays(ps, shifts, divides, monkeypatch):
     """A level is a `staircase_gb` call that lifts corners (two or more
-    variables).  Each level builds one reducer and divides only by it;
-    `slice_representative` never divides, also when it shifts a slice
-    element because the projected corner is not a slice corner.  On a
-    full grid every projected corner is a slice corner."""
-    built = count_reducers(monkeypatch)
-    levels, shifted, divisions, in_slices = [], [], [], []
-    engine, represent, reduce = core.staircase_gb, core.slice_representative, core.normal_form
+    variables).  It builds a reducer exactly when one of its lifts has a
+    tail term outside the staircase, builds at most one, and divides only
+    the lifts that stray, each by that reducer; `slice_representative`
+    never divides, also when it shifts a slice element because the
+    projected corner is not a slice corner.  On a full grid every
+    projected corner is a slice corner and no lift strays."""
+    levels, active, shifted, in_slices = [], [], [], []
+    divisions = 0
+    engine, lift = core.staircase_gb, core.build_phi
+    represent, reduce = core.slice_representative, core.normal_form
 
     def level(ps):
+        record = {"reducers": [], "strays": 0, "divided_by": []}
+        active.append(record)
+        try:
+            gb = engine(ps)
+        finally:
+            active.pop()
         if ps.n >= 2 and ps.points:
-            levels.append(ps)
-        return engine(ps)
+            levels.append(record)
+        return gb
+
+    built, init = [], Reducer.__init__
+
+    def made(self, *args):  # a reducer is charged to the level building it
+        built.append(self)
+        active[-1]["reducers"].append(self)
+        init(self, *args)
+
+    def lifted(field, beta, slice_gbs, stairs):
+        phi = lift(field, beta, slice_gbs, stairs)
+        active[-1]["strays"] += any(e not in stairs for e in list(phi.terms)[1:])
+        return phi
 
     def representative(beta_hat, slice_gb):
-        before = len(divisions)
+        before = divisions
         tail = represent(beta_hat, slice_gb)
-        in_slices.append(len(divisions) - before)
+        in_slices.append(divisions - before)
         if tuple(beta_hat) not in slice_gb.staircase.corners():
             shifted.append(beta_hat)
         return tail
 
     def division(f, basis):
-        divisions.append(basis)
+        nonlocal divisions
+        divisions += 1
+        active[-1]["divided_by"].append(basis)
         return reduce(f, basis)
 
+    monkeypatch.setattr(Reducer, "__init__", made)
     monkeypatch.setattr(core, "staircase_gb", level)
+    monkeypatch.setattr(core, "build_phi", lifted)
     monkeypatch.setattr(core, "slice_representative", representative)
     monkeypatch.setattr(core, "normal_form", division)
     gb = core.staircase_gb(ps)
     assert gb == bm_gb(ps)
     assert bool(shifted) == shifts
     assert in_slices and not any(in_slices)
-    assert len(built) == len(levels)
-    assert {id(basis) for basis in divisions} == {id(r) for r in built}
+    for record in levels:
+        reducers = record["reducers"]
+        assert len(reducers) == (1 if record["strays"] else 0)
+        assert len(record["divided_by"]) == record["strays"]
+        assert all(basis is reducers[0] for basis in record["divided_by"])
+    assert len(built) == sum(len(record["reducers"]) for record in levels)
+    assert bool(built) == divides
 
 
 # -- the oracle's row cache ----------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from pointideal import NotLowerSetError, Staircase, staircase_sum
 
-from strategies import staircase_pairs, staircases
+from strategies import staircase_families, staircase_pairs, staircases
 
 
 def brute_force_add(d1: Staircase, d2: Staircase) -> set:
@@ -208,6 +208,20 @@ class TestAddition:
 class TestEmbedding:
     def test_prepend_zero(self):
         assert COLUMN.prepend_zero() == Staircase(3, {(0, 0, 0), (0, 0, 1)})
+
+
+@given(staircase_families())
+def test_unvalidated_results_equal_validated_staircases(family):
+    """`prepend_zero` and `staircase_sum` build their results without
+    the lower-set check; the constructor accepts the same cells and
+    gives an equal staircase."""
+    n, members = family
+    results = [(n, staircase_sum(members, n))]
+    results += [(n + 1, d.prepend_zero()) for d in members]
+    for dim, d in results:
+        validated = Staircase(dim, d.cells)
+        assert d == validated and hash(d) == hash(validated)
+        assert d.corners() == validated.corners()
 
 
 class TestRender:
