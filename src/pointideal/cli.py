@@ -7,8 +7,7 @@ the S-pairs when the basis lacks the reduced shape, SKIPPED), ``compare``
 (run both engines and insist on exact agreement), ``bench`` (seeded
 random instances with timings and cross-checks).  Exit status is 0
 exactly when everything requested passed, 1 when a check or comparison
-fails, and 2, with one ``error:`` line, on malformed input or an input
-too deep for the recursion.
+fails, and 2, with one ``error:`` line, on malformed input.
 """
 
 from __future__ import annotations
@@ -200,10 +199,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:  # the engines recurse once per coordinate
-        limit = sys.getrecursionlimit()
-        print(f"error: too many coordinates: recursion deeper than {limit} calls", file=sys.stderr)
         return 2
 
 

@@ -1,30 +1,53 @@
 """Point sets in affine space and the staircase-induction construction
 of the reduced lexicographic basis of their vanishing ideal.
 
-The construction works by induction over the number of variables.  A
-point set is sliced by its first coordinate; each slice, viewed in one
-variable fewer, contributes a staircase, and these stack into the
-staircase of the whole set.  For every corner of that staircase a basis
-element is produced: representatives taken from the slice bases have
-their coefficients interpolated across slices by univariate
-characteristic polynomials in X1, the result is multiplied by the
-vanishing polynomial in X1 of the slices whose staircase already contains
-the corner's projection, and finally the lex-greatest-first division by the
-previously finished elements reduces every tail into the staircase.
+The construction works by induction over the number of variables, run
+bottom-up over the slice trie of the sorted points, without recursion.
+A node of the trie is a run points[start:end] of the sorted points that
+agree on every coordinate before the node's depth.  Its branch is the
+first coordinate at or after the depth where the run's points differ,
+capped at n - 1; the run is sorted, so it agrees on a coordinate exactly
+when its first and last points do.  A node whose branch is below n - 1
+has one child per value at the branch, at least two, each a run whose
+depth is branch + 1.  The nodes are listed parents first and evaluated
+children first, each by one of three paths:
+
+- A leaf (branch n - 1): its points differ at most in the last
+  coordinate, and its basis is the univariate vanishing polynomial of
+  those values, over the staircase {0, ..., #run - 1}.
+- A branching node is a level of the induction.  Each child is a slice,
+  seen in the variables after the branch, and the slices' staircases
+  stack into the level's staircase.  For every corner of it a basis
+  element is produced: representatives taken from the slice bases have
+  their coefficients interpolated across slices by univariate
+  characteristic polynomials in the branch variable, the result is
+  multiplied by the vanishing polynomial in that variable of the slices
+  whose staircase already contains the corner's projection, and the
+  lex-greatest-first division by the previously finished elements
+  reduces every tail into the staircase.
+- Coordinates depth .. branch - 1, which every point of the node shares
+  with values a: the elements X_i - a_i join the basis found at the
+  branch, whose elements and cells get zeros in those coordinates (see
+  `staircase_gb` for why this is the reduced basis).
+
+A branching node has at least two children, so the lift never sees a
+one-slice level: a coordinate shared by a whole run takes the closed
+form instead.  A node is a range of the sorted points, so no slice is
+copied as a point set.
 
 A slice representative is a stored element of the slice basis shifted
 by a monomial, so a level reads only its slices' staircases and
 elements and never divides by a slice basis.  Most lifts already have
 every tail term inside the staircase, and such a lift is its element as
-it stands (see `staircase_gb`); a level divides only the others, by one
+it stands (see `_lift_level`); a level divides only the others, by one
 `poly.Reducer` set up from the finished elements on the first lift that
-needs it and grown by each element finished after it.  The slices and
-stacked staircases the recursion builds are valid by construction and
-are not validated again.
+needs it and grown by each element finished after it.  The staircases
+the walk builds are valid by construction and are not validated again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from operator import add
@@ -50,12 +73,6 @@ class DuplicatePointError(ValueError):
         )
 
 
-def _fill(ps: "PointSet", field, n: int, points: tuple) -> None:
-    object.__setattr__(ps, "field", field)
-    object.__setattr__(ps, "n", n)
-    object.__setattr__(ps, "points", points)
-
-
 class PointSet:
     """A finite set of pairwise-distinct points with exact coordinates.
 
@@ -79,16 +96,9 @@ class PointSet:
             if pt in seen:
                 raise DuplicatePointError(seen[pt], idx, format_point(field, pt))
             seen[pt] = idx
-        _fill(self, field, n, tuple(sorted(coerced)))
-
-    @classmethod
-    def _trusted(cls, field, n: int, points: tuple) -> "PointSet":
-        """A point set from points the caller vouches for, without the
-        checks of the public constructor: a sorted tuple of pairwise
-        distinct tuples of n coordinates, each canonical in `field`."""
-        ps = object.__new__(cls)
-        _fill(ps, field, n, points)
-        return ps
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "points", tuple(sorted(coerced)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PointSet is immutable")
@@ -118,9 +128,9 @@ def slice_decompose(ps: PointSet) -> list[tuple[object, PointSet]]:
     """Group the points by first coordinate; each slice is re-expressed in
     the remaining coordinates.  Keys ascend in the field's natural order.
 
-    The points of ps are sorted, so the keys arrive ascending, and the
-    points of one slice arrive sorted and distinct; their coordinates
-    are already canonical, so each slice is built without re-validation."""
+    No engine calls this: both walk the slice trie (see the module
+    docstring), whose nodes are ranges of the sorted points.  Each slice
+    is built with the public constructor."""
     if ps.n < 2:
         raise ValueError("slicing needs dimension >= 2")
     if not ps.points:
@@ -128,27 +138,76 @@ def slice_decompose(ps: PointSet) -> list[tuple[object, PointSet]]:
     groups: dict = {}
     for pt in ps.points:
         groups.setdefault(pt[0], []).append(pt[1:])
-    return [
-        (a1, PointSet._trusted(ps.field, ps.n - 1, tuple(part)))
-        for a1, part in groups.items()
-    ]
+    return [(a1, PointSet(ps.field, ps.n - 1, part)) for a1, part in groups.items()]
+
+
+def _walk(ps: PointSet, leaf, level, shared):
+    """Evaluate the slice trie of a nonempty point set (see the module
+    docstring) and return the root's value.
+
+    The nodes are listed parents first, as (start, end, depth, branch,
+    lo, hi): the children of a node are the nodes lo .. hi - 1, in
+    ascending order of their value at its branch.  They are evaluated in
+    reverse, so children before parents.  A leaf's value is
+    `leaf(values)`, for the last coordinates of its points; a branching
+    node's is `level(m, slices)`, for m = n - branch and the (value at
+    the branch, child's value) pairs in that order.  A node whose points
+    share coordinates depth .. branch - 1, with values a, then takes
+    `shared(a, value)`."""
+    points, n = ps.points, ps.n
+    trie = [[0, len(points), 0]]
+    for node in trie:  # the children appended are read in turn
+        start, end, depth = node
+        first, final = points[start], points[end - 1]
+        branch = next((i for i in range(depth, n - 1) if first[i] != final[i]), n - 1)
+        lo = len(trie)
+        if branch < n - 1:
+            run = start
+            for i in range(start + 1, end):
+                if points[i][branch] != points[i - 1][branch]:
+                    trie.append([run, i, branch + 1])
+                    run = i
+            trie.append([run, end, branch + 1])
+        node += (branch, lo, len(trie))
+    values: dict = {}
+    for index in reversed(range(len(trie))):
+        start, end, depth, branch, lo, hi = trie[index]
+        if lo < hi:
+            slices = [(points[trie[c][0]][branch], values.pop(c)) for c in range(lo, hi)]
+            value = level(n - branch, slices)
+        else:
+            value = leaf([pt[-1] for pt in points[start:end]])
+        if depth < branch:
+            value = shared(points[start][depth:branch], value)
+        values[index] = value
+    return values[0]
+
+
+def _behind_zeros(stairs: Staircase, k: int) -> Staircase:
+    """The staircase with k zero coordinates put in front of every cell,
+    a lower set because stairs is one."""
+    pad = (0,) * k
+    return Staircase._trusted(k + stairs.n, frozenset(pad + c for c in stairs.cells))
 
 
 def compute_staircase(ps: PointSet) -> Staircase:
-    """The staircase of a point set, by induction over the dimension.
+    """The staircase of a point set, by the walk of its slice trie that
+    `staircase_gb` makes (see the module docstring).
 
-    One variable: {0, ..., #A - 1}.  More variables: the slices'
-    staircases, each lifted by a leading zero coordinate, are stacked
-    along the first axis.  The size always equals the number of points.
+    A leaf of m points gives {0, ..., m - 1}.  A branching node stacks
+    its children's staircases, each lifted by a leading zero coordinate,
+    along the branch axis.  Coordinates shared by a node's points put
+    zeros in front of every cell.  The size always equals the number of
+    points.
     """
     if not ps.points:
         return Staircase(ps.n)
-    if ps.n == 1:
-        return Staircase(1, {(i,) for i in range(len(ps.points))})
-    blocks = [
-        compute_staircase(part).prepend_zero() for _, part in slice_decompose(ps)
-    ]
-    return staircase_sum(blocks, ps.n)
+    return _walk(
+        ps,
+        lambda values: Staircase(1, {(i,) for i in range(len(values))}),
+        lambda m, slices: staircase_sum([d.prepend_zero() for _, d in slices], m),
+        lambda shared, d: _behind_zeros(d, len(shared)),
+    )
 
 
 @dataclass(frozen=True)
@@ -191,17 +250,27 @@ def slice_representative(beta_hat: Exponent, slice_gb: GroebnerBasis) -> Polynom
 
     The representative is X^(beta_hat - lam) * g, for g the first element
     of the slice basis whose leading exponent lam divides beta_hat, the
-    element `normal_form` would divide by first.  When beta_hat is a
-    corner of the slice staircase the shift is zero and g's own tail is
-    read.  A shift keeps the lex order of the terms, so the shifted tail
-    stays ordered and lies below beta_hat.  Only the tail is returned,
-    since that is all the lift reads.
+    element `normal_form` would divide by first.  A shift keeps the lex
+    order of the terms, so the shifted tail stays ordered and lies below
+    beta_hat.  Only the tail is returned, since that is all the lift
+    reads.
+
+    When beta_hat is a corner of the slice staircase, g is the element
+    it leads and the shift is zero: distinct corners are incomparable,
+    so no other leading exponent divides beta_hat.  That element is
+    found by bisection, since the basis keeps its elements sorted by
+    leading exponent; only a beta_hat that leads no element is matched
+    against every leading exponent in turn.
 
     Any such representative will do, not only the reduced one X^beta_hat
     minus its normal form: see `build_phi` for why the level's reduction
     turns every lift into the same element."""
     beta_hat = tuple(beta_hat)
-    for g in slice_gb.elements:
+    elements = slice_gb.elements
+    i = bisect_left(elements, lex_key(beta_hat), key=lambda g: lex_key(g.leading_exponent()))
+    if i < len(elements) and elements[i].leading_exponent() == beta_hat:
+        return elements[i].tail()
+    for g in elements:
         lam = g.leading_exponent()
         if all(x <= y for x, y in zip(lam, beta_hat)):
             shift = tuple(y - x for x, y in zip(lam, beta_hat))
@@ -244,11 +313,11 @@ def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial
     which vanishes on the slice.  So the lift vanishes on every point of
     the set.  Every lower term t of it that lies outside the staircase is
     divisible by some corner gamma <= t < beta, whose element
-    `staircase_gb` has already finished, and no other corner divides
-    beta; so dividing by the finished elements leaves X^beta, a tail
-    inside the staircase, and a polynomial in the vanishing ideal: the
-    reduced element at beta, whichever representatives went in.
-    `staircase_gb` asserts the first two of these.
+    the level (`_lift_level`) has already finished, and no other corner
+    divides beta; so dividing by the finished elements leaves X^beta, a
+    tail inside the staircase, and a polynomial in the vanishing ideal:
+    the reduced element at beta, whichever representatives went in.
+    `_lift_level` asserts the first two of these.
 
     The interpolation keeps one dense column per tail exponent
     gamma_hat of the representatives: entry k of the column is the
@@ -299,18 +368,19 @@ def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial
     return theta * Polynomial._trusted(field, n, vanishing, ordered=True)
 
 
-def staircase_gb(ps: PointSet) -> GroebnerBasis:
-    """The reduced lexicographic basis of the vanishing ideal of ps.
+def _lift_level(field, n: int, slice_gbs) -> GroebnerBasis:
+    """The basis of a level: a branching node of the slice trie, in its
+    n variables, from the (value, basis) pairs of its slices in
+    ascending order.
 
-    One variable: the single monic vanishing polynomial.  More
-    variables: recurse into the slices, lift one element per corner of
-    the stacked staircase, and reduce each lift by the elements already
-    finished (corners are processed in increasing lex order, so the
-    reduction never needs a later element).  Each reduced lift is
-    already the final element: its leading exponent is the corner and
-    every tail exponent lies inside the staircase, which the two
-    assertions below enforce, so it equals the corner monomial minus its
-    normal form against the finished basis (the proof is in `build_phi`).
+    Lift one element per corner of the stacked staircase, and reduce
+    each lift by the elements already finished (corners are processed in
+    increasing lex order, so the reduction never needs a later element).
+    Each reduced lift is already the final element: its leading exponent
+    is the corner and every tail exponent lies inside the staircase,
+    which the two assertions below enforce, so it equals the corner
+    monomial minus its normal form against the finished basis (the proof
+    is in `build_phi`).
 
     Only a lift with a stray term, a tail exponent outside the
     staircase D, is divided.  For any other lift at the corner beta,
@@ -324,21 +394,12 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
     adds each later element to it, and keeps it to itself; a level
     where no lift strays builds none.
     """
-    fld = ps.field
-    if not ps.points:
-        return GroebnerBasis(Staircase(ps.n), (Polynomial.one(fld, ps.n),))
-    if ps.n == 1:
-        f = univariate_vanishing(fld, [pt[0] for pt in ps.points])
-        return GroebnerBasis(compute_staircase(ps), (f,))
-    slice_gbs = [(a1, staircase_gb(part)) for a1, part in slice_decompose(ps)]
-    stairs = staircase_sum(
-        [gb.staircase.prepend_zero() for _, gb in slice_gbs], ps.n
-    )
+    stairs = staircase_sum([gb.staircase.prepend_zero() for _, gb in slice_gbs], n)
     cells = stairs.cells
     finished: list[Polynomial] = []
     reducer = None
     for corner in stairs.sorted_corners():
-        f = build_phi(fld, corner, slice_gbs, stairs)
+        f = build_phi(field, corner, slice_gbs, stairs)
         stray = [e for e in islice(f.terms, 1, None) if e not in cells]
         if stray:
             if reducer is None:
@@ -355,3 +416,58 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
         if reducer is not None:
             reducer.add(f)
     return GroebnerBasis(stairs, tuple(finished))
+
+
+def _behind_shared(field, shared, gb: GroebnerBasis) -> GroebnerBasis:
+    """The basis of a node whose points share their first coordinates,
+    with values `shared`, from the basis gb of the points without them
+    (see `staircase_gb`)."""
+    k, n = len(shared), len(shared) + gb.n
+    pad, origin = (0,) * k, (0,) * n
+    linear = [
+        {origin[:i] + (1,) + origin[i + 1 :]: field.one, origin: field.normalize(-a)}
+        for i, a in enumerate(shared)
+    ]
+    rest = [{pad + e: c for e, c in g.terms.items()} for g in gb.elements]
+    elements = [Polynomial._trusted(field, n, terms) for terms in linear]
+    elements += [Polynomial._trusted(field, n, terms, ordered=True) for terms in rest]
+    return GroebnerBasis(_behind_zeros(gb.staircase, k), tuple(elements))
+
+
+def staircase_gb(ps: PointSet) -> GroebnerBasis:
+    """The reduced lexicographic basis of the vanishing ideal of ps.
+
+    The slice trie of ps is evaluated children before parents (see the
+    module docstring), each node to the basis of its points in the
+    variables from its depth on, and the root's basis is returned.
+
+    - A leaf: the monic vanishing polynomial of its last coordinates.
+    - A branching node: `_lift_level` lifts one element per corner of
+      the staircase its children's bases stack into.  A branching node
+      has at least two children, so every level lifts at least two
+      slices; a one-slice level is never lifted.
+    - A node whose points share the coordinates depth .. branch - 1,
+      with values a: the elements X_i - a_i, followed by the basis G
+      found at the branch with zeros put in front of every exponent, and
+      the staircase of G behind the same zeros.  The points are {a} x B,
+      so the ideal is (X_i - a_i : i) + I(B), and G generates I(B).  The
+      leading monomials X_i are coprime to each other and to every
+      leading monomial of G, which lies in the later variables, so every
+      S-polynomial of a pair with an X_i - a_i reduces to zero; G is a
+      Groebner basis already, so the union is one.  It is reduced: the
+      tail of X_i - a_i is a constant, which no leading monomial
+      divides, and the tails of G are reduced against G and involve no
+      X_i.
+    """
+    fld = ps.field
+    if not ps.points:
+        return GroebnerBasis(Staircase(ps.n), (Polynomial.one(fld, ps.n),))
+    return _walk(
+        ps,
+        lambda values: GroebnerBasis(
+            Staircase(1, {(i,) for i in range(len(values))}),
+            (univariate_vanishing(fld, values),),
+        ),
+        lambda n, slice_gbs: _lift_level(fld, n, slice_gbs),
+        lambda shared, gb: _behind_shared(fld, shared, gb),
+    )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pointideal import PointSet, Polynomial, PrimeField, QQ, Staircase
 from pointideal.poly import lex_key
 
+F2 = PrimeField(2)
 F7 = PrimeField(7)
 F13 = PrimeField(13)
 

@@ -1,5 +1,4 @@
 import json
-import sys
 
 import pytest
 
@@ -118,23 +117,33 @@ def test_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["gb", "staircase", "compare", "bench"])
-def test_too_many_coordinates_exit_2_with_one_line(tmp_path, capsys, command):
-    """The engines recurse once per coordinate, so 600 coordinates pass
-    Python's recursion limit."""
-    points = write_json(tmp_path / "points.json", {
-        "field": {"type": "prime", "p": 7},
-        "dimension": 600,
-        "points": [["0"] * 600, ["1"] * 600],
-    })
+def test_six_hundred_coordinates_exit_0(tmp_path, capsys, command):
+    """600 coordinates are a valid input: the engines walk the slice trie
+    without recursing, so every command finishes under Python's default
+    recursion limit.  The files are the points (0, ..., 0) and
+    (1, ..., 1), and two points that differ only in the last coordinate;
+    gb's output equals the oracle's byte for byte."""
     if command == "bench":
         argv = ["bench", "--seed", "1", "--sizes", "2", "--trials", "1", "--dim", "600"]
-    else:
-        argv = [command, "--points", points]
-    assert main(argv) == 2
-    limit = sys.getrecursionlimit()
-    assert capsys.readouterr().err == (
-        f"error: too many coordinates: recursion deeper than {limit} calls\n"
-    )
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        return
+    pairs = {
+        "diagonal": [["0"] * 600, ["1"] * 600],
+        "last": [["0"] * 600, ["0"] * 599 + ["1"]],
+    }
+    for name, pair in pairs.items():
+        points = write_json(tmp_path / f"{name}.json", {
+            "field": {"type": "prime", "p": 7},
+            "dimension": 600,
+            "points": pair,
+        })
+        assert main([command, "--points", points]) == 0
+        out, err = capsys.readouterr()
+        assert out and err == ""
+        if command == "gb":
+            assert main(["gb", "--method", "bm", "--points", points]) == 0
+            assert capsys.readouterr().out == out
 
 
 def test_a_basis_of_another_dimension_exits_2(tmp_path, capsys):

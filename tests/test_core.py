@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 
 from pointideal import (
     DuplicatePointError,
+    GroebnerBasis,
     PointSet,
     Polynomial,
     PrimeField,
     QQ,
     Staircase,
+    bm_gb,
+    bm_staircase,
     build_phi,
     char_poly,
     compute_staircase,
@@ -24,7 +27,7 @@ from pointideal.core import split_first_coordinates
 from pointideal.poly import lex_key
 
 from reference import evaluate, poly_add, poly_sub, reference_build_phi, variable
-from strategies import F13, grid_pointsets, pointsets, polynomials
+from strategies import F2, F13, grid_pointsets, pointsets, polynomials
 
 
 def qpoly(terms, n=2):
@@ -79,8 +82,8 @@ class TestSliceDecompose:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(pointsets(), grid_pointsets()).filter(lambda ps: ps.n >= 2))
     def test_slices_equal_validated_point_sets(self, ps):
-        """The slices are built without the constructor's checks; each
-        equals the point set the constructor makes of its points."""
+        """Each slice equals the point set the constructor makes of its
+        points, and the keys ascend."""
         slices = slice_decompose(ps)
         keys = [a1 for a1, _ in slices]
         assert keys == sorted(set(keys))
@@ -401,3 +404,74 @@ class TestStaircaseGb:
         for cell in gb.staircase.cells:
             mono = Polynomial.monomial(QQ, 2, cell)
             assert normal_form(mono, gb.elements) == mono
+
+
+def spread(t, positions, values):
+    """t with `values` inserted so that they land at `positions`, which
+    ascend and index the result."""
+    out = list(t)
+    for p, v in zip(positions, values):
+        out.insert(p, v)
+    return tuple(out)
+
+
+@st.composite
+def embedded_pointsets(draw):
+    """A point set A, and A with constant coordinates c inserted at
+    positions of the result: (A, positions, c, the embedded set)."""
+    field = draw(st.sampled_from((QQ, F2, F13)))
+    a = draw(pointsets(fields=(field,), max_size=6))
+    k = draw(st.integers(1, 4))
+    positions = sorted(draw(st.sets(st.integers(0, a.n + k - 1), min_size=k, max_size=k)))
+    coord = st.integers(-9, 9).map(F) if field == QQ else st.integers(0, field.p - 1)
+    consts = tuple(map(field.coerce, draw(st.tuples(*[coord] * k))))
+    embedded = PointSet(field, a.n + k, [spread(pt, positions, consts) for pt in a])
+    return a, positions, consts, embedded
+
+
+@st.composite
+def trie_pointsets(draw):
+    """Points of up to 40 coordinates that share long runs: each new point
+    copies an earlier one and redraws one to three of its coordinates, so
+    the slice trie has long shared prefixes, shared coordinates between
+    branches and one-point subtrees."""
+    field = draw(st.sampled_from((QQ, F2, F13)))
+    n = draw(st.integers(2, 40))
+    coord = st.integers(-2, 2).map(F) if field == QQ else st.integers(0, field.p - 1)
+    points = [draw(st.lists(coord, min_size=n, max_size=n))]
+    for _ in range(draw(st.integers(0, 7))):
+        pt = list(draw(st.sampled_from(points)))
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+            pt[i] = draw(coord)
+        if pt not in points:
+            points.append(pt)
+    return PointSet(field, n, points)
+
+
+class TestSliceTrie:
+    @settings(max_examples=60, deadline=None)
+    @given(embedded_pointsets())
+    def test_shared_coordinates_add_linear_elements(self, drawn):
+        """Constant coordinates c at some positions add X_i - c_i to the
+        basis of the rest, whose exponents and cells get zeros there."""
+        a, positions, consts, embedded = drawn
+        field, n, k = a.field, embedded.n, len(positions)
+        zeros = (0,) * k
+        gb = staircase_gb(a)
+        linear = [
+            Polynomial(field, n, {tuple(int(i == p) for i in range(n)): 1, (0,) * n: -c})
+            for p, c in zip(positions, consts)
+        ]
+        rest = [
+            Polynomial(field, n, {spread(e, positions, zeros): c for e, c in f.terms.items()})
+            for f in gb.elements
+        ]
+        stairs = Staircase(n, {spread(c, positions, zeros) for c in gb.staircase.cells})
+        assert staircase_gb(embedded) == GroebnerBasis(stairs, tuple(linear + rest))
+        assert compute_staircase(embedded) == stairs
+
+    @settings(max_examples=40, deadline=None)
+    @given(trie_pointsets())
+    def test_engines_agree_on_shared_prefixes(self, ps):
+        assert staircase_gb(ps) == bm_gb(ps)
+        assert compute_staircase(ps) == bm_staircase(ps)

@@ -471,27 +471,27 @@ def test_the_certificate_builds_one_reducer_per_basis(monkeypatch):
     ids=["grid F_3^3", "sparse F_5^3", "five points"],
 )
 def test_the_engine_builds_a_reducer_only_where_a_lift_strays(ps, shifts, divides, monkeypatch):
-    """A level is a `staircase_gb` call that lifts corners (two or more
-    variables).  It builds a reducer exactly when one of its lifts has a
-    tail term outside the staircase, builds at most one, and divides only
-    the lifts that stray, each by that reducer; `slice_representative`
-    never divides, also when it shifts a slice element because the
-    projected corner is not a slice corner.  On a full grid every
-    projected corner is a slice corner and no lift strays."""
+    """A level is a `_lift_level` call: a branching node of the slice
+    trie, which lifts corners from at least two slices.  It builds a
+    reducer exactly when one of its lifts has a tail term outside the
+    staircase, builds at most one, and divides only the lifts that stray,
+    each by that reducer; `slice_representative` never divides, also when
+    it shifts a slice element because the projected corner is not a slice
+    corner.  On a full grid every projected corner is a slice corner and
+    no lift strays."""
     levels, active, shifted, in_slices = [], [], [], []
     divisions = 0
-    engine, lift = core.staircase_gb, core.build_phi
+    engine, lift = core._lift_level, core.build_phi
     represent, reduce = core.slice_representative, core.normal_form
 
-    def level(ps):
-        record = {"reducers": [], "strays": 0, "divided_by": []}
+    def level(field, n, slice_gbs):
+        record = {"reducers": [], "strays": 0, "divided_by": [], "slices": len(slice_gbs)}
         active.append(record)
         try:
-            gb = engine(ps)
+            gb = engine(field, n, slice_gbs)
         finally:
             active.pop()
-        if ps.n >= 2 and ps.points:
-            levels.append(record)
+        levels.append(record)
         return gb
 
     built, init = [], Reducer.__init__
@@ -521,7 +521,7 @@ def test_the_engine_builds_a_reducer_only_where_a_lift_strays(ps, shifts, divide
         return reduce(f, basis)
 
     monkeypatch.setattr(Reducer, "__init__", made)
-    monkeypatch.setattr(core, "staircase_gb", level)
+    monkeypatch.setattr(core, "_lift_level", level)
     monkeypatch.setattr(core, "build_phi", lifted)
     monkeypatch.setattr(core, "slice_representative", representative)
     monkeypatch.setattr(core, "normal_form", division)
@@ -529,7 +529,9 @@ def test_the_engine_builds_a_reducer_only_where_a_lift_strays(ps, shifts, divide
     assert gb == bm_gb(ps)
     assert bool(shifted) == shifts
     assert in_slices and not any(in_slices)
+    assert levels
     for record in levels:
+        assert record["slices"] >= 2
         reducers = record["reducers"]
         assert len(reducers) == (1 if record["strays"] else 0)
         assert len(record["divided_by"]) == record["strays"]
