@@ -1,10 +1,14 @@
 """Seeded random instances and a timing harness for the two engines.
 
 Instances are drawn with SplitMix64, a tiny well-known 64-bit generator,
-so runs reproduce bit-for-bit on any platform.  The machine-readable
-part of a benchmark (instances, cross-check outcomes, basis
-fingerprints) is deterministic for a fixed seed; wall-clock timings are
-reported separately and never enter the deterministic payload.
+so runs reproduce bit-for-bit on any platform.  `run_bench` returns one
+record per trial, a plain dict: the instance's size and trial index,
+whether the two engines' bases matched, the basis's corners and
+fingerprint, and the two engines' seconds.  `table_lines` reports the
+per-size medians of the seconds and their log-log slope.  Everything
+else in a record is deterministic for a fixed seed and goes into
+`deterministic_payload`; wall-clock timings are reported separately and
+never enter the deterministic payload.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from statistics import median
 
@@ -68,94 +71,6 @@ def random_pointset(rng: SplitMix64, field, dimension: int, size: int) -> PointS
     return PointSet(field, dimension, points)
 
 
-@dataclass(frozen=True)
-class BenchConfig:
-    seed: int
-    field: object
-    sizes: tuple[int, ...]
-    dimension: int
-    trials: int
-
-
-@dataclass
-class TrialResult:
-    size: int
-    trial: int
-    match: bool
-    corners: list
-    digest: str
-    staircase_seconds: float
-    bm_seconds: float
-
-
-@dataclass
-class BenchResult:
-    config: BenchConfig
-    trials: list[TrialResult] = dc_field(default_factory=list)
-
-    @property
-    def all_match(self) -> bool:
-        return all(t.match for t in self.trials)
-
-    def medians(self, attr: str) -> dict[int, float]:
-        out = {}
-        for size in self.config.sizes:
-            out[size] = median(
-                getattr(t, attr) for t in self.trials if t.size == size
-            )
-        return out
-
-    def slopes(self) -> dict[str, float | None]:
-        """Fitted log-log slope of median runtime against instance size;
-        None when fewer than two distinct sizes were run."""
-        out = {}
-        for name, attr in (("staircase", "staircase_seconds"), ("bm", "bm_seconds")):
-            med = self.medians(attr)
-            xs = [math.log(s) for s in self.config.sizes]
-            ys = [math.log(med[s]) for s in self.config.sizes]
-            out[name] = fit_slope(xs, ys)
-        return out
-
-    def deterministic_payload(self) -> dict:
-        """Everything reproducible for a fixed seed; no timings."""
-        return {
-            "seed": self.config.seed,
-            "field": io.field_to_dict(self.config.field),
-            "dimension": self.config.dimension,
-            "sizes": list(self.config.sizes),
-            "trials": self.config.trials,
-            "results": [
-                {
-                    "size": t.size,
-                    "trial": t.trial,
-                    "match": t.match,
-                    "corners": t.corners,
-                    "basis_sha256": t.digest,
-                }
-                for t in self.trials
-            ],
-        }
-
-    def table_lines(self) -> list[str]:
-        lines = [f"{'size':>6} {'staircase[s]':>14} {'bm[s]':>14} {'match':>6}"]
-        med_s = self.medians("staircase_seconds")
-        med_b = self.medians("bm_seconds")
-        for size in self.config.sizes:
-            ok = all(t.match for t in self.trials if t.size == size)
-            lines.append(
-                f"{size:>6} {med_s[size]:>14.6f} {med_b[size]:>14.6f} "
-                f"{'yes' if ok else 'NO':>6}"
-            )
-        slopes = {
-            name: "n/a" if slope is None else f"{slope:.3f}"
-            for name, slope in self.slopes().items()
-        }
-        lines.append(
-            f"log-log slope: staircase {slopes['staircase']}, bm {slopes['bm']}"
-        )
-        return lines
-
-
 def fit_slope(xs, ys) -> float | None:
     """Least-squares slope of ys against xs; None when the xs do not
     take at least two distinct values, since no line is determined."""
@@ -198,28 +113,61 @@ def run_both(ps):
     return ours, (t1 - t0, t2 - t1), difference
 
 
-def run_bench(cfg: BenchConfig) -> BenchResult:
-    """Generate, time and cross-check all instances.  Instance draws
-    consume one PRNG stream in a fixed order, so the generated point
-    sets depend only on the seed and the configuration."""
-    rng = SplitMix64(cfg.seed)
-    result = BenchResult(cfg)
-    for size in cfg.sizes:
-        for trial in range(cfg.trials):
-            ps = random_pointset(rng, cfg.field, cfg.dimension, size)
-            ours, (t_staircase, t_bm), difference = run_both(ps)
-            digest = hashlib.sha256(
-                io.canonical_dumps(io.basis_to_dict(ours)).encode()
-            ).hexdigest()[:16]
-            result.trials.append(
-                TrialResult(
-                    size=size,
-                    trial=trial,
-                    match=difference is None,
-                    corners=[list(c) for c in ours.staircase.sorted_corners()],
-                    digest=digest,
-                    staircase_seconds=t_staircase,
-                    bm_seconds=t_bm,
-                )
-            )
-    return result
+def run_bench(seed: int, field, sizes, dimension: int, trials: int) -> list[dict]:
+    """Generate, time and cross-check all instances; one record per
+    trial, in draw order.  A record holds `size`, `trial`, `match`, the
+    staircase basis's sorted `corners`, `basis_sha256` (the first 16 hex
+    digits of the SHA-256 of its canonical JSON) and `seconds`, the
+    staircase engine's and the oracle's.  Instance draws consume one
+    PRNG stream in a fixed order, so everything but the seconds depends
+    only on the seed and the settings."""
+    rng = SplitMix64(seed)
+    records = []
+    for size in sizes:
+        for trial in range(trials):
+            ps = random_pointset(rng, field, dimension, size)
+            ours, seconds, difference = run_both(ps)
+            records.append({
+                "size": size,
+                "trial": trial,
+                "match": difference is None,
+                "corners": [list(c) for c in ours.staircase.sorted_corners()],
+                "basis_sha256": hashlib.sha256(
+                    io.canonical_dumps(io.basis_to_dict(ours)).encode()
+                ).hexdigest()[:16],
+                "seconds": seconds,
+            })
+    return records
+
+
+def table_lines(records: list[dict]) -> list[str]:
+    """A header, one row per size with each engine's median seconds and
+    whether every trial matched, then the fitted log-log slope of the
+    medians against the size ("n/a" with a single size)."""
+    sizes = list(dict.fromkeys(r["size"] for r in records))
+    lines = [f"{'size':>6} {'staircase[s]':>14} {'bm[s]':>14} {'match':>6}"]
+    log_medians = []
+    for size in sizes:
+        group = [r for r in records if r["size"] == size]
+        med = [median(r["seconds"][i] for r in group) for i in (0, 1)]
+        ok = all(r["match"] for r in group)
+        lines.append(f"{size:>6} {med[0]:>14.6f} {med[1]:>14.6f} {'yes' if ok else 'NO':>6}")
+        log_medians.append([math.log(m) for m in med])
+    xs = [math.log(size) for size in sizes]
+    slopes = [fit_slope(xs, ys) for ys in zip(*log_medians)]
+    shown = ["n/a" if slope is None else f"{slope:.3f}" for slope in slopes]
+    lines.append(f"log-log slope: staircase {shown[0]}, bm {shown[1]}")
+    return lines
+
+
+def deterministic_payload(seed, field, sizes, dimension, trials, records) -> dict:
+    """The settings and the records without their seconds: everything
+    reproducible for a fixed seed."""
+    return {
+        "seed": seed,
+        "field": io.field_to_dict(field),
+        "dimension": dimension,
+        "sizes": list(sizes),
+        "trials": trials,
+        "results": [{k: v for k, v in r.items() if k != "seconds"} for r in records],
+    }

@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import io
-from .bench import BenchConfig, run_bench, run_both
+from .bench import deterministic_payload, run_bench, run_both, table_lines
 from .bm import bm_gb
 from .core import compute_staircase, staircase_gb
 from .field import _INT_RE, PrimeField, QQ
@@ -136,19 +136,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = BenchConfig(
-        seed=args.seed,
-        field=args.field,
-        sizes=args.sizes,
-        dimension=args.dim,
-        trials=args.trials,
-    )
-    result = run_bench(cfg)
-    for line in result.table_lines():
+    settings = (args.seed, args.field, args.sizes, args.dim, args.trials)
+    records = run_bench(*settings)
+    for line in table_lines(records):
         print(line)
     if args.out:
-        _write_output(io.canonical_dumps(result.deterministic_payload()), args.out)
-    return 0 if result.all_match else 1
+        _write_output(io.canonical_dumps(deterministic_payload(*settings, records)), args.out)
+    return 0 if all(r["match"] for r in records) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

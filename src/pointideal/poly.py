@@ -168,12 +168,6 @@ class Polynomial:
         if self.field != other.field:
             raise ValueError("coefficient field mismatch")
 
-    def __neg__(self):
-        f = self.field
-        norm = f.normalize
-        terms = {e: norm(-c) for e, c in self.terms.items()}
-        return Polynomial._trusted(f, self.n, terms, ordered=True)
-
     def __mul__(self, other):
         """The product; each output coefficient is summed from raw
         products and normalized once (see `field`)."""

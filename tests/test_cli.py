@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -30,6 +32,30 @@ def test_bench_with_one_size_reports_no_slope(capsys):
     assert main(["bench", "--seed", "1", "--sizes", "8", "--trials", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "log-log slope: staircase n/a, bm n/a"
     assert fit_slope([2.0, 2.0], [1.0, 3.0]) is None
+
+
+@pytest.mark.parametrize(
+    "options, digest",
+    [
+        (["--seed", "1", "--sizes", "8,16"], "350be0edc069cf0797189f7e33f50ab275ef178466b663c84ec193601075ccfc"),
+        (["--seed", "7", "--sizes", "8,16"], "10eab251e522eb96a4b705203a21ebb422776e8648dec914e4338573d05d8d3c"),
+        (
+            ["--seed", "3", "--sizes", "6,12", "--field", "rational", "--dim", "3"],
+            "646613a58254f7ae8adb5f352612e387a842660b6ed39e79536d4821972b5d45",
+        ),
+    ],
+)
+def test_bench_out_bytes_and_table_layout(tmp_path, capsys, options, digest):
+    out = tmp_path / "bench.json"
+    argv = ["bench", "--trials", "2"] + options + ["--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    header, *rows, slope = capsys.readouterr().out.splitlines()
+    assert header.split() == ["size", "staircase[s]", "bm[s]", "match"]
+    sizes = json.loads(out.read_text(encoding="utf-8"))["sizes"]
+    assert [row.split()[0] for row in rows] == [str(s) for s in sizes]
+    assert all(row.split()[-1] == "yes" for row in rows)
+    assert re.fullmatch(r"log-log slope: staircase -?\d+\.\d{3}, bm -?\d+\.\d{3}", slope)
 
 
 def test_bench_takes_a_negative_seed(capsys):
@@ -244,7 +270,7 @@ def test_engine_disagreement_exits_1_and_names_the_first_difference(
     )
 
 
-def test_bench_disagreement_exits_1_and_says_no(capsys, monkeypatch):
+def test_bench_disagreement_exits_1_and_says_no(tmp_path, capsys, monkeypatch):
     def mutated_bm_gb(ps):
         gb = bm_gb(ps)
         f = gb.elements[-1]
@@ -252,8 +278,14 @@ def test_bench_disagreement_exits_1_and_says_no(capsys, monkeypatch):
         return GroebnerBasis(gb.staircase, gb.elements[:-1] + (changed,))
 
     monkeypatch.setattr(bench, "bm_gb", mutated_bm_gb)
-    assert main(["bench", "--seed", "1", "--sizes", "8", "--trials", "1"]) == 1
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--seed", "1", "--sizes", "8", "--trials", "1", "--out", str(out)]) == 1
     assert capsys.readouterr().out.splitlines()[1].split()[-1] == "NO"
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(payload) == ["dimension", "field", "results", "seed", "sizes", "trials"]
+    (record,) = payload["results"]
+    assert record["match"] is False
+    assert sorted(record) == ["basis_sha256", "corners", "match", "size", "trial"]
 
 
 def test_check_skips_the_costly_checks_when_the_shape_fails(tmp_path, capsys, monkeypatch):

@@ -108,7 +108,7 @@ PUBLIC = {
             "tail",
             "terms",
         ],
-        ["__mul__", "__neg__"],
+        ["__mul__"],
     ),
     Staircase: (
         [
