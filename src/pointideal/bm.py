@@ -5,13 +5,14 @@ taken lex-minimal first, starting from the origin, and each candidate's
 monomial row (its values at the points) is reduced against a row
 echelon form of the rows accepted so far.  A candidate's decrements are
 all accepted, so its row is one accepted row times a coordinate column
-(`poly.monomial_row`).  Every stored row carries the combination of
-accepted monomials it stands for, and the reduction updates the
-candidate's combination along with its values.  A candidate whose row
-stays independent joins the staircase; one whose row reduces to zero is
-a corner, and its monomial plus that combination is the basis element
-at the corner.  Serves as the oracle the induction engine is checked
-against.
+(`poly.monomial_row`).  The echelon is kept as a factorization: each
+stored row remembers the multipliers its own reduction used, and the
+rank tests touch point values only.  A candidate whose row stays
+independent joins the staircase; one whose row reduces to zero is a
+corner, and one backward sweep over the recorded multipliers turns its
+multipliers into the combination of accepted monomials that vanishes
+with it, which gives the basis element at the corner.  Serves as the
+oracle the induction engine is checked against.
 """
 
 from __future__ import annotations
@@ -25,42 +26,86 @@ from .staircase import Staircase
 
 
 class _Echelon:
-    """Incremental row echelon form of augmented rows: the values at the
-    `width` points, then the coefficients of the accepted monomials, in
-    order of acceptance.
+    """Incremental row echelon form of monomial rows over `width` points,
+    kept as a factorization.
 
-    A stored row is kept from its pivot on (it is zero before it and 1
-    at it) up to its last accepted monomial.  Rows are never
-    back-eliminated: a rank test needs only the echelon form."""
+    Let m_r be the monomial row of the r-th accepted monomial, counted
+    from 0 in order of acceptance.  Its reduction subtracts c_{r,i}
+    times stored row i for each i < r (c_{r,i} is zero when row i's
+    pivot entry was already zero) and leaves a row whose first nonzero
+    entry, at its pivot, has inverse inv_r.  The invariant is
+
+        stored row r = inv_r * (m_r - sum over i < r of c_{r,i} * stored row i),
+
+    kept from its pivot on, where it is 1; every entry before the pivot
+    is zero.  `inverses[r]` holds inv_r and `multipliers[r]` the dense
+    list c_{r,0}, ..., c_{r,r-1}.  Rows are never back-eliminated: a
+    rank test needs only the echelon form, and a corner's combination
+    comes from `combination`."""
 
     def __init__(self, field, width: int):
         self.field = field
         self.width = width
-        self.rows: list[tuple[int, list]] = []  # (pivot, stored part), sorted by pivot
+        self.rows: list[tuple[int, int, list]] = []  # (pivot, r, stored row r), sorted by pivot
+        self.inverses: list = []
+        self.multipliers: list[list] = []
 
-    def reduce(self, row: list) -> int | None:
+    def reduce(self, row: list) -> tuple[int | None, list]:
         """Reduce a row in place against the stored ones, by increasing
-        pivot; return its pivot column, or None when its values vanish."""
+        pivot.  Return its pivot column (None when it reduces to zero)
+        and its multipliers c, indexed by acceptance: the row handed in
+        is the reduced row plus the sum of c[i] * stored row i."""
         fld, zero = self.field, self.field.zero
-        for pivot, stored in self.rows:
-            c = row[pivot]
-            if c != zero:
-                end = pivot + len(stored)
-                row[pivot:end] = fld.vec_sub_scaled(row[pivot:end], c, stored)
-        return next((j for j in range(self.width) if row[j] != zero), None)
+        c = [zero] * len(self.inverses)
+        for pivot, r, stored in self.rows:
+            x = row[pivot]
+            if x != zero:
+                c[r] = x
+                row[pivot:] = fld.vec_sub_scaled(row[pivot:], x, stored)
+        return next((j for j in range(self.width) if row[j] != zero), None), c
 
-    def insert(self, row: list, pivot: int) -> None:
+    def insert(self, row: list, pivot: int, c: list) -> None:
+        """Store a reduced row with the pivot and multipliers `reduce`
+        gave it, as the next accepted row."""
         fld = self.field
-        insort(self.rows, (pivot, fld.vec_scale(fld.inv(row[pivot]), row[pivot:])))
+        inv = fld.inv(row[pivot])
+        insort(self.rows, (pivot, len(self.inverses), fld.vec_scale(inv, row[pivot:])))
+        self.inverses.append(inv)
+        self.multipliers.append(c)
+
+    def combination(self, c: list) -> list:
+        """The a with sum of c[i] * stored row i = sum of a[i] * m_i, by
+        one backward sweep over the recorded multipliers; `c` is
+        consumed.
+
+        Let d = c and let r run down from the last accepted row, keeping
+        sum over i <= r of d[i] * stored row i, plus sum over i > r of
+        a[i] * m_i, equal to the sum to rewrite.  By the invariant,
+        d[r] * stored row r = a[r] * m_r - sum over i < r of
+        a[r] * c_{r,i} * stored row i, with a[r] = d[r] * inv_r.  So
+        fixing a[r] and subtracting a[r] * c_{r,i} from d[i] for each
+        i < r keeps the sum with r one lower, and at r = -1 only the
+        a[i] * m_i are left.  The sweep must follow acceptance order,
+        not pivot order: the invariant writes row r through the rows
+        accepted before it, whatever their pivots.  For k accepted rows
+        it costs at most k(k-1)/2 multiply-adds, O(k^2) per corner, and
+        skips every r with a[r] = 0.  Entries of d are normalized once,
+        when read."""
+        norm, zero = self.field.normalize, self.field.zero
+        for r in range(len(c) - 1, -1, -1):
+            a = norm(norm(c[r]) * self.inverses[r])
+            c[r] = a
+            if a != zero:
+                c[:r] = [x - a * y for x, y in zip(c, self.multipliers[r])]
+        return c
 
 
 def _discover(ps: PointSet) -> tuple[Staircase, tuple[Polynomial, ...]]:
     """The staircase and the reduced basis, in one pass over the corner
     candidates.
 
-    A candidate beta enters with the augmented row (values of X^beta,
-    zeros, 1 at its own acceptance index), a fresh list, since the
-    echelon reduces it in place and `rows` keeps the values of X^beta.
+    A candidate beta's values are copied before the echelon reduces them
+    in place, since `rows` keeps the values of X^beta.
 
     `rows` keeps a row only while it can still be a parent.  The parent
     of a nonzero exponent is the exponent lowered in its first axis, its
@@ -74,13 +119,16 @@ def _discover(ps: PointSet) -> tuple[Staircase, tuple[Polynomial, ...]]:
     axis.
 
     Independent: beta is accepted, and beta + e_i becomes a candidate
-    once all of its decrements are accepted.  Dependent: X^beta plus the
-    reduced combination of accepted monomials vanishes on the points, its
-    tail lies in the staircase and is lex-smaller than beta, so it is the
-    reduced element at the corner beta.  Candidates come off the heap in
-    increasing lex order, since each new one exceeds the beta that made
-    it.  A multiple of a rejected corner never becomes a candidate: one
-    of its decrements is a multiple too, which is never accepted.
+    once all of its decrements are accepted.  Dependent: the values of
+    X^beta are the sum of its multipliers times the stored rows, which
+    `_Echelon.combination` rewrites as a combination a of the accepted
+    monomials' values.  So X^beta - sum of a[i] * X^(alpha_i) vanishes
+    on the points, its tail lies in the staircase and is lex-smaller
+    than beta, and it is the reduced element at the corner beta.
+    Candidates come off the heap in increasing lex order, since each new
+    one exceeds the beta that made it.  A multiple of a rejected corner
+    never becomes a candidate: one of its decrements is a multiple too,
+    which is never accepted.
     """
     fld = ps.field
     n, width = ps.n, len(ps.points)
@@ -93,19 +141,18 @@ def _discover(ps: PointSet) -> tuple[Staircase, tuple[Polynomial, ...]]:
     candidates = [(lex_key(origin), origin, n - 1)]
     while candidates:
         _, beta, axis = heappop(candidates)
-        k = len(accepted)
-        row = monomial_row(fld, ps.points, beta, rows) + [fld.zero] * k + [fld.one]
+        row = monomial_row(fld, ps.points, beta, rows)[:]
         top = beta[axis]
         if top > 1 or (top and axis == n - 1):  # beta is its parent's last child
             del rows[beta[:axis] + (top - 1,) + beta[axis + 1 :]]
-        pivot = ech.reduce(row)
+        pivot, c = ech.reduce(row)
         if pivot is None:
             del rows[beta]
             terms = {beta: fld.one}
-            terms.update(zip(accepted, row[width : width + k]))
+            terms.update(zip(accepted, (-a for a in ech.combination(c))))
             elements.append(Polynomial(fld, n, terms))
             continue
-        ech.insert(row, pivot)
+        ech.insert(row, pivot, c)
         accepted.append(beta)
         cells.add(beta)
         for i in range(n):
@@ -124,6 +171,6 @@ def bm_staircase(ps: PointSet) -> Staircase:
 
 def bm_gb(ps: PointSet) -> GroebnerBasis:
     """The reduced basis by Buchberger-Moller: at each corner, the corner
-    monomial plus the combination of staircase monomials that its row
-    reduced to zero by."""
+    monomial minus the combination of staircase monomials whose values
+    its own values equal, read from the factored echelon."""
     return GroebnerBasis(*_discover(ps))

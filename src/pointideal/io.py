@@ -16,7 +16,9 @@ Basis files (also the output of the ``gb`` command)::
 Scalars travel as strings so that exactness survives the trip.  Cell and
 corner lists ascend in the lex order; term lists descend, leading term
 first.  Serialization is canonical, so equal objects produce identical
-bytes.
+bytes.  A basis file may leave out ``corners``; when present, it must
+list exactly the staircase's corners, in that order.  No cell may
+repeat.
 """
 
 from __future__ import annotations
@@ -160,6 +162,20 @@ def basis_from_dict(obj, field) -> GroebnerBasis:
         raise ValueError(f"basis: inconsistent exponent dimensions {sorted(dims)}")
     n = dims.pop()
     stairs = Staircase(n, cells)
+    if len(stairs) < len(cells):
+        i = next(i for i, c in enumerate(cells) if c in cells[:i])
+        raise ValueError(f"staircase[{i}]: repeats the cell {list(cells[i])}")
+    if "corners" in obj:
+        corners = [
+            _exponent(c, f"corners[{i}]")
+            for i, c in enumerate(_expect_list(obj["corners"], "corners"))
+        ]
+        expected = stairs.sorted_corners()
+        if corners != expected:
+            raise ValueError(
+                f"corners: {[list(c) for c in corners]} are not the staircase's "
+                f"corners {[list(c) for c in expected]}"
+            )
     elements = []
     for i, (leading, raw_terms) in enumerate(raw_elements):
         terms = {}

@@ -1,13 +1,24 @@
 """The Buchberger-Moller oracle on point-set shapes that random draws
 rarely produce, checked against the staircase engine, with the number of
-evaluated monomial rows pinned."""
+evaluated monomial rows and the entries its row kernel is handed pinned,
+and the backward sweep pinned where pivot order and acceptance order
+differ."""
 
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
-from pointideal import PointSet, PrimeField, QQ, bm, compute_staircase, staircase_gb
+from pointideal import (
+    PointSet,
+    PrimeField,
+    QQ,
+    bm,
+    compute_staircase,
+    staircase_gb,
+    verify_basis,
+)
+from pointideal.bench import SplitMix64, random_pointset
 
 SHAPES = {
     "empty": PointSet(QQ, 2, []),
@@ -55,3 +66,71 @@ def test_rows_handed_to_the_echelon_stay_unchanged(ps, monkeypatch):
     monkeypatch.setattr(bm, "monomial_row", recorded)
     bm.bm_gb(ps)
     assert handed and all(row == copy for row, copy in handed)
+
+
+def test_the_row_kernel_is_handed_point_values_only(monkeypatch):
+    """On a generic instance of N points of F_7919^2 the stored pivots
+    run 0, ..., N - 1 in acceptance order and no pivot entry vanishes on
+    the way, so reducing against k stored rows hands `vec_sub_scaled`
+    N - i entries for the row with pivot i, one call each: the point
+    values from the pivot on, and no combination columns."""
+    n_points = 24
+    ps = random_pointset(SplitMix64(1), PrimeField(7919), 2, n_points)
+    handed, stored_counts, pivots = [], [], []
+    kernel, reduce, insert = PrimeField.vec_sub_scaled, bm._Echelon.reduce, bm._Echelon.insert
+
+    def counted_kernel(self, row, c, other):
+        handed.append(len(row))
+        return kernel(self, row, c, other)
+
+    def counted_reduce(self, row):
+        stored_counts.append(len(self.rows))
+        return reduce(self, row)
+
+    def recorded_insert(self, row, pivot, c):
+        pivots.append(pivot)
+        return insert(self, row, pivot, c)
+
+    monkeypatch.setattr(PrimeField, "vec_sub_scaled", counted_kernel)
+    monkeypatch.setattr(bm._Echelon, "reduce", counted_reduce)
+    monkeypatch.setattr(bm._Echelon, "insert", recorded_insert)
+    bm.bm_gb(ps)
+    assert pivots == list(range(n_points))
+    assert len(handed) == sum(stored_counts) == 324
+    assert sum(handed) == sum(n_points - i for k in stored_counts for i in range(k)) == 5200
+
+
+# Found by search: a row accepted after another has the lower pivot, a
+# corner's combination uses it, and a sweep in pivot order would get
+# that combination wrong.
+OUT_OF_ORDER = {
+    "F_2^3": PointSet(PrimeField(2), 3, [(0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]),
+    "F_5^2": PointSet(PrimeField(5), 2, [(1, 1), (1, 3), (4, 3)]),
+    "QQ^2": PointSet(QQ, 2, [(F(-7, 2), -4), (F(-7, 2), F(3, 2)), (0, 3)]),
+}
+
+
+@pytest.mark.parametrize("ps", OUT_OF_ORDER.values(), ids=OUT_OF_ORDER.keys())
+def test_the_sweep_follows_acceptance_order_not_pivot_order(ps, monkeypatch):
+    """A corner's combination reads a row that `insort` placed before an
+    earlier-accepted one; the sweep must still rewrite it through the
+    rows accepted before it, so the basis equals the engine's and is
+    certified."""
+    reads = []
+    combination = bm._Echelon.combination
+
+    def spy(self, c):
+        a = combination(self, c)
+        pivot = {r: p for p, r, _ in self.rows}
+        reads.extend(
+            r
+            for r, x in enumerate(a)
+            if x != self.field.zero and any(pivot[j] > pivot[r] for j in range(r))
+        )
+        return a
+
+    monkeypatch.setattr(bm._Echelon, "combination", spy)
+    gb = bm.bm_gb(ps)
+    assert reads
+    assert gb == staircase_gb(ps)
+    assert verify_basis(gb, ps).overall

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from pointideal import GroebnerBasis, Polynomial, bench, bm_gb, verify
-from pointideal.bench import fit_slope
+from pointideal.bench import fit_slope, table_lines
 from pointideal.cli import main
 
 from reference import poly_add
@@ -30,8 +30,34 @@ def basis_of(tmp_path, points):
 
 def test_bench_with_one_size_reports_no_slope(capsys):
     assert main(["bench", "--seed", "1", "--sizes", "8", "--trials", "1"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "log-log slope: staircase n/a, bm n/a"
+    assert capsys.readouterr().out.splitlines()[-2] == "log-log slope: staircase n/a, bm n/a"
     assert fit_slope([2.0, 2.0], [1.0, 3.0]) is None
+
+
+def _records(seconds_by_size):
+    return [
+        {"size": size, "match": True, "seconds": seconds}
+        for size, trials in seconds_by_size.items()
+        for seconds in trials
+    ]
+
+
+@pytest.mark.parametrize(
+    "seconds_by_size, line",
+    [
+        ({8: [(0.2, 0.1)], 16: [(0.3, 0.4), (0.5, 0.4), (0.1, 0.4)], 32: [(0.9, 0.8)]},
+         "crossover: staircase faster from size 16"),
+        ({32: [(0.1, 0.2)], 8: [(0.2, 0.1)], 16: [(0.1, 0.3)]},
+         "crossover: staircase faster from size 16"),
+        ({8: [(0.2, 0.1)], 16: [(0.4, 0.4)]}, "crossover: none"),
+    ],
+)
+def test_bench_crossover_is_the_smallest_size_where_the_staircase_median_wins(
+    seconds_by_size, line
+):
+    """The medians decide, a tie is no win, and the sizes need not be
+    ascending."""
+    assert table_lines(_records(seconds_by_size))[-1] == line
 
 
 @pytest.mark.parametrize(
@@ -50,12 +76,15 @@ def test_bench_out_bytes_and_table_layout(tmp_path, capsys, options, digest):
     argv = ["bench", "--trials", "2"] + options + ["--out", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-    header, *rows, slope = capsys.readouterr().out.splitlines()
+    header, *rows, slope, crossover = capsys.readouterr().out.splitlines()
     assert header.split() == ["size", "staircase[s]", "bm[s]", "match"]
     sizes = json.loads(out.read_text(encoding="utf-8"))["sizes"]
     assert [row.split()[0] for row in rows] == [str(s) for s in sizes]
     assert all(row.split()[-1] == "yes" for row in rows)
     assert re.fullmatch(r"log-log slope: staircase -?\d+\.\d{3}, bm -?\d+\.\d{3}", slope)
+    assert crossover == "crossover: none" or crossover in [
+        f"crossover: staircase faster from size {s}" for s in sizes
+    ]
 
 
 def test_bench_takes_a_negative_seed(capsys):
@@ -127,6 +156,39 @@ def test_a_basis_file_without_terms_exits_2_with_one_line(tmp_path, capsys, basi
     basis = write_json(tmp_path / "basis.json", basis)
     assert main(["check", "--points", points, "--basis", basis]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda gb: gb.update(corners=[[5, 5]]),
+         "corners: [[5, 5]] are not the staircase's corners [[3, 0], [0, 1]]"),
+        (lambda gb: gb["corners"].reverse(),
+         "corners: [[0, 1], [3, 0]] are not the staircase's corners [[3, 0], [0, 1]]"),
+        (lambda gb: gb["corners"].pop(), "corners: [[3, 0]] are not the staircase's corners"),
+        (lambda gb: gb.update(corners={}), "corners: expected a list"),
+        (lambda gb: gb["corners"].append("x"), "corners[2]: expected a list of integers"),
+        (lambda gb: gb["staircase"].append([1, 0]), "staircase[3]: repeats the cell [1, 0]"),
+    ],
+)
+def test_check_rejects_wrong_corners_or_a_repeated_cell(tmp_path, capsys, edit, message):
+    points = write_json(tmp_path / "points.json", POINTS)
+    gb = basis_of(tmp_path, points)
+    edit(gb)
+    basis = write_json(tmp_path / "bad.json", gb)
+    capsys.readouterr()
+    assert main(["check", "--points", points, "--basis", basis]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
+def test_a_basis_file_without_corners_is_valid(tmp_path, capsys):
+    points = write_json(tmp_path / "points.json", POINTS)
+    gb = basis_of(tmp_path, points)
+    del gb["corners"]
+    basis = write_json(tmp_path / "b.json", gb)
+    assert main(["check", "--points", points, "--basis", basis]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "overall: PASS"
 
 
 @pytest.mark.parametrize("command", ["gb", "check"])
