@@ -7,7 +7,11 @@ echelon form of the rows accepted so far.  A candidate's decrements are
 all accepted, so its row is one accepted row times a coordinate column
 (`poly.monomial_row`).  The echelon is kept as a factorization: each
 stored row remembers the multipliers its own reduction used, and the
-rank tests touch point values only.  A candidate whose row stays
+rank tests touch point values only.  The rows are kept in the field's
+row form (see `field`): over F_p each row is one int with a slot per
+point and a stored row is kept negated, so an update is one big-int
+multiply-add; over the rationals rows are lists, and an update touches
+the entries from the stored row's pivot on.  A candidate whose row stays
 independent joins the staircase; one whose row reduces to zero is a
 corner, and one backward sweep over the recorded multipliers turns its
 multipliers into the combination of accepted monomials that vanishes
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heappop, heappush
+from itertools import compress
 
 from .core import GroebnerBasis, PointSet
 from .poly import Exponent, Polynomial, lex_key, monomial_row
@@ -27,7 +32,8 @@ from .staircase import Staircase
 
 class _Echelon:
     """Incremental row echelon form of monomial rows over `width` points,
-    kept as a factorization.
+    kept as a factorization, with its rows in the field's row form
+    (`field._rows`: packed ints over F_p, lists over the rationals).
 
     Let m_r be the monomial row of the r-th accepted monomial, counted
     from 0 in order of acceptance.  Its reduction subtracts c_{r,i}
@@ -41,35 +47,40 @@ class _Echelon:
     is zero.  `inverses[r]` holds inv_r and `multipliers[r]` the dense
     list c_{r,0}, ..., c_{r,r-1}.  Rows are never back-eliminated: a
     rank test needs only the echelon form, and a corner's combination
-    comes from `combination`."""
+    comes from `combination`.  Each update is one `vec_sub_scaled`
+    call, and a candidate is unpacked once, after its reduction, to
+    find its pivot and build its stored row."""
 
     def __init__(self, field, width: int):
         self.field = field
-        self.width = width
-        self.rows: list[tuple[int, int, list]] = []  # (pivot, r, stored row r), sorted by pivot
+        self.form = field._rows(width)
+        self.rows: list[tuple[int, int, object]] = []  # (pivot, r, stored row r), sorted by pivot
         self.inverses: list = []
         self.multipliers: list[list] = []
 
-    def reduce(self, row: list) -> tuple[int | None, list]:
-        """Reduce a row in place against the stored ones, by increasing
-        pivot.  Return its pivot column (None when it reduces to zero)
-        and its multipliers c, indexed by acceptance: the row handed in
-        is the reduced row plus the sum of c[i] * stored row i."""
-        fld, zero = self.field, self.field.zero
+    def reduce(self, values: list) -> tuple[list, int | None, list]:
+        """Reduce a row of values against the stored ones, by increasing
+        pivot; `values` itself is left unchanged.  Return the reduced
+        values, their pivot column (None when they are all zero) and the
+        multipliers c, indexed by acceptance: the row handed in is the
+        reduced row plus the sum of c[i] * stored row i."""
+        form, update, zero = self.form, self.field.vec_sub_scaled, self.field.zero
+        entry = form.entry
         c = [zero] * len(self.inverses)
+        row = form.pack(values)
         for pivot, r, stored in self.rows:
-            x = row[pivot]
+            x = entry(row, pivot)
             if x != zero:
                 c[r] = x
-                row[pivot:] = fld.vec_sub_scaled(row[pivot:], x, stored)
-        return next((j for j in range(self.width) if row[j] != zero), None), c
+                row = update(row, x, stored)
+        values = form.unpack(row)
+        return values, next((j for j, x in enumerate(values) if x != zero), None), c
 
-    def insert(self, row: list, pivot: int, c: list) -> None:
-        """Store a reduced row with the pivot and multipliers `reduce`
-        gave it, as the next accepted row."""
-        fld = self.field
-        inv = fld.inv(row[pivot])
-        insort(self.rows, (pivot, len(self.inverses), fld.vec_scale(inv, row[pivot:])))
+    def insert(self, values: list, pivot: int, c: list) -> None:
+        """Store reduced values with the pivot and multipliers `reduce`
+        gave them, as the next accepted row."""
+        inv = self.field.inv(values[pivot])
+        insort(self.rows, (pivot, len(self.inverses), self.form.store(values, pivot, inv)))
         self.inverses.append(inv)
         self.multipliers.append(c)
 
@@ -104,8 +115,9 @@ def _discover(ps: PointSet) -> tuple[Staircase, tuple[Polynomial, ...]]:
     """The staircase and the reduced basis, in one pass over the corner
     candidates.
 
-    A candidate beta's values are copied before the echelon reduces them
-    in place, since `rows` keeps the values of X^beta.
+    The echelon reduces a candidate's values in its own row form and
+    leaves the list it is handed unchanged, so the values of X^beta can
+    come straight from `rows`, which keeps them.
 
     `rows` keeps a row only while it can still be a parent.  The parent
     of a nonzero exponent is the exponent lowered in its first axis, its
@@ -119,7 +131,9 @@ def _discover(ps: PointSet) -> tuple[Staircase, tuple[Polynomial, ...]]:
     axis.
 
     Independent: beta is accepted, and beta + e_i becomes a candidate
-    once all of its decrements are accepted.  Dependent: the values of
+    once all of its decrements are accepted; only its nonzero
+    coordinates can be lowered, so only those are tested, which at high
+    dimension are few.  Dependent: the values of
     X^beta are the sum of its multipliers times the stored rows, which
     `_Echelon.combination` rewrites as a combination a of the accepted
     monomials' values.  So X^beta - sum of a[i] * X^(alpha_i) vanishes
@@ -137,15 +151,15 @@ def _discover(ps: PointSet) -> tuple[Staircase, tuple[Polynomial, ...]]:
     cells: set[Exponent] = set()
     elements: list[Polynomial] = []
     rows: dict[Exponent, list] = {}
-    origin = (0,) * n
+    origin, axes = (0,) * n, range(n)
     candidates = [(lex_key(origin), origin, n - 1)]
     while candidates:
         _, beta, axis = heappop(candidates)
-        row = monomial_row(fld, ps.points, beta, rows)[:]
+        row = monomial_row(fld, ps.points, beta, rows)
         top = beta[axis]
         if top > 1 or (top and axis == n - 1):  # beta is its parent's last child
             del rows[beta[:axis] + (top - 1,) + beta[axis + 1 :]]
-        pivot, c = ech.reduce(row)
+        row, pivot, c = ech.reduce(row)
         if pivot is None:
             del rows[beta]
             terms = {beta: fld.one}
@@ -155,11 +169,9 @@ def _discover(ps: PointSet) -> tuple[Staircase, tuple[Polynomial, ...]]:
         ech.insert(row, pivot, c)
         accepted.append(beta)
         cells.add(beta)
-        for i in range(n):
+        for i in axes:
             b = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-            if all(
-                b[j] == 0 or b[:j] + (b[j] - 1,) + b[j + 1 :] in cells for j in range(n)
-            ):
+            if all(b[:j] + (b[j] - 1,) + b[j + 1 :] in cells for j in compress(axes, b)):
                 heappush(candidates, (lex_key(b), b, i))
     return Staircase(n, cells), tuple(elements)
 

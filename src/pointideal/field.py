@@ -19,10 +19,30 @@ values as they are.
 A field object supplies only what native operators cannot:
 
 - `normalize` and `inv`;
-- the row kernels `vec_scale` and `vec_sub_scaled`, which return
-  canonical rows;
+- the row kernels `vec_scale`, which returns a canonical list, and
+  `vec_sub_scaled`, the echelon update on the field's row form below;
 - `zero` and `one`, `coerce` (a Python value to a canonical scalar),
   `parse` and `format` (text), and `is_negative` (the sign printed).
+
+**The row form.**  The Buchberger-Moller echelon reduces rows of values
+at `width` points; ``field._rows(width)`` gives the form it keeps them
+in, with `pack`, `entry`, `unpack` and `store`, and `vec_sub_scaled`
+updates a row in that form.  Over the rationals a row is a list, and a
+stored row is the list of its entries from its pivot on, which the
+kernel lines up with the end of the row it updates.  Over F_p a row is
+one Python int with a slot of w bits per point, point j in bits
+w*j .. w*j + w - 1, where w is one more than the bit length of
+(p - 1) + width * (p - 1)^2.  A stored row is kept negated: its slot
+holds the canonical residue of -y for its entry y, so every slot lies
+in range(p), and the slots before its pivot are 0.  Then
+``vec_sub_scaled(row, c, stored)`` is ``row + c * stored``, one big-int
+multiply-add: every slot gains c * (-y), which is x - c * y modulo p,
+and no subtraction can borrow across slots.  A packed candidate starts
+with canonical slots, below p, and a reduction updates it at most once
+per stored row, at most `width` times, each time by a canonical c times
+a slot below p; so a slot never exceeds (p - 1) + width * (p - 1)^2 and
+never carries into the next.  An entry is read as its slot modulo p,
+and `unpack` reads them all.
 
 Scalar grammar: ``int := ['-'] digit+`` and, for the rationals only,
 ``rational := int ['/' digit+]``, where a digit is one of the ASCII
@@ -119,8 +139,15 @@ class RationalField:
         return [c * x for x in row]
 
     def vec_sub_scaled(self, row, c, other):
-        """row - c * other, elementwise."""
-        return [x - c * y for x, y in zip(row, other)]
+        """row - c * other, elementwise, where `other` lines up with the
+        end of `row`: the entries of `row` before it are kept, and `row`
+        is updated in place and returned."""
+        k = len(row) - len(other)
+        row[k:] = [x - c * y for x, y in zip(row[k:], other)]
+        return row
+
+    def _rows(self, width: int) -> "_ListRows":
+        return _ListRows(self)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -180,9 +207,12 @@ class PrimeField:
         return [c * x % p for x in row]
 
     def vec_sub_scaled(self, row, c, other):
-        """row - c * other, elementwise."""
-        p = self.p
-        return [(x - c * y) % p for x, y in zip(row, other)]
+        """row - c * other on packed rows, where `other` is stored
+        negated (see the row form in the module docstring)."""
+        return row + c * other
+
+    def _rows(self, width: int) -> "_PackedRows":
+        return _PackedRows(self, width)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -192,6 +222,69 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
+
+
+class _ListRows:
+    """The rationals' row form: a row is a list of scalars, a stored row
+    the list of its entries from its pivot on."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field: RationalField):
+        self.field = field
+
+    def pack(self, values: list) -> list:
+        """A row of the values, copied, since the echelon updates it in
+        place."""
+        return values[:]
+
+    def entry(self, row: list, j: int):
+        return row[j]
+
+    def unpack(self, row: list) -> list:
+        return row
+
+    def store(self, values: list, pivot: int, inv) -> list:
+        """The stored row of reduced values with the given pivot, scaled
+        by `inv` to 1 there."""
+        return self.field.vec_scale(inv, values[pivot:])
+
+
+class _PackedRows:
+    """F_p's row form over `width` points: a row is one int with a slot
+    of `slot` bits per point, a stored row the same, negated (see the
+    module docstring)."""
+
+    __slots__ = ("field", "p", "slot", "mask", "shifts")
+
+    def __init__(self, field: PrimeField, width: int):
+        p = field.p
+        self.field, self.p = field, p
+        self.slot = ((p - 1) + width * (p - 1) ** 2).bit_length() + 1
+        self.mask = (1 << self.slot) - 1
+        self.shifts = range(0, width * self.slot, self.slot)
+
+    def pack(self, values: list) -> int:
+        """A row of canonical values, one per slot."""
+        row = 0
+        for v, s in zip(values, self.shifts):
+            row |= v << s
+        return row
+
+    def entry(self, row: int, j: int) -> int:
+        return ((row >> self.shifts[j]) & self.mask) % self.p
+
+    def unpack(self, row: int) -> list:
+        """The canonical values of every slot."""
+        mask, p = self.mask, self.p
+        return [((row >> s) & mask) % p for s in self.shifts]
+
+    def store(self, values: list, pivot: int, inv: int) -> int:
+        """The stored row of reduced values with the given pivot, scaled
+        by `inv` to 1 there and negated: slots before the pivot are 0,
+        and the others hold the canonical residue of -inv * y."""
+        negated = self.field.vec_scale(self.p - inv, values[pivot:])
+        return self.pack(negated) << self.shifts[pivot]
 
 
 QQ = RationalField()

@@ -12,6 +12,7 @@ the 1-axis" picture.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 from typing import Iterable
 
 from .poly import Exponent, lex_key
@@ -91,16 +92,17 @@ class Staircase:
         """Minimal exponents of the complement; finite and nonempty."""
         if self._corners is not None:
             return self._corners
-        if not self.cells:
+        cells, axes = self.cells, range(self.n)
+        if not cells:
             result = frozenset({(0,) * self.n})
         else:
-            candidates = {
-                c[:i] + (c[i] + 1,) + c[i + 1 :] for c in self.cells for i in range(self.n)
-            } - self.cells
+            candidates = {c[:i] + (c[i] + 1,) + c[i + 1 :] for c in cells for i in axes} - cells
+            # Only a nonzero coordinate can be lowered: `compress` skips
+            # the zeros, which at high dimension are most of them.
             result = frozenset(
                 b
                 for b in candidates
-                if all(b[i] == 0 or _dec(b, i) in self.cells for i in range(self.n))
+                if all(b[:i] + (b[i] - 1,) + b[i + 1 :] in cells for i in compress(axes, b))
             )
         object.__setattr__(self, "_corners", result)
         return result

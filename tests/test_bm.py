@@ -1,6 +1,6 @@
 """The Buchberger-Moller oracle on point-set shapes that random draws
 rarely produce, checked against the staircase engine, with the number of
-evaluated monomial rows and the entries its row kernel is handed pinned,
+evaluated monomial rows and the rows its row kernel is handed pinned,
 and the backward sweep pinned where pivot order and acceptance order
 differ."""
 
@@ -71,16 +71,18 @@ def test_rows_handed_to_the_echelon_stay_unchanged(ps, monkeypatch):
 def test_the_row_kernel_is_handed_point_values_only(monkeypatch):
     """On a generic instance of N points of F_7919^2 the stored pivots
     run 0, ..., N - 1 in acceptance order and no pivot entry vanishes on
-    the way, so reducing against k stored rows hands `vec_sub_scaled`
-    N - i entries for the row with pivot i, one call each: the point
-    values from the pivot on, and no combination columns."""
+    the way, so reducing against k stored rows makes k calls to
+    `vec_sub_scaled`.  Each call is handed two packed rows of N point
+    slots and nothing more: no combination columns."""
     n_points = 24
-    ps = random_pointset(SplitMix64(1), PrimeField(7919), 2, n_points)
+    field = PrimeField(7919)
+    ps = random_pointset(SplitMix64(1), field, 2, n_points)
+    bound = 1 << (n_points * field._rows(n_points).slot)
     handed, stored_counts, pivots = [], [], []
     kernel, reduce, insert = PrimeField.vec_sub_scaled, bm._Echelon.reduce, bm._Echelon.insert
 
     def counted_kernel(self, row, c, other):
-        handed.append(len(row))
+        handed.append((row, other))
         return kernel(self, row, c, other)
 
     def counted_reduce(self, row):
@@ -97,7 +99,7 @@ def test_the_row_kernel_is_handed_point_values_only(monkeypatch):
     bm.bm_gb(ps)
     assert pivots == list(range(n_points))
     assert len(handed) == sum(stored_counts) == 324
-    assert sum(handed) == sum(n_points - i for k in stored_counts for i in range(k)) == 5200
+    assert all(0 <= row < bound and 0 <= other < bound for row, other in handed)
 
 
 # Found by search: a row accepted after another has the lower pivot, a

@@ -154,14 +154,16 @@ def test_engines_agree_over_the_word_size_prime(ps):
 class CheckedField(PrimeField):
     """F_p that checks the delayed-reduction contract of `field`: every
     scalar handed to `inv`, to `format` or to a row kernel (`vec_scale`,
-    `vec_sub_scaled`) is canonical, and every raw value handed to
-    `normalize` is below `products` * p^2, a sum of at most `products`
-    products of canonical scalars; `products` is 2^12 unless a test sets
-    a tighter bound.  A Horner step held raw would grow by a field width
-    per step and break the bound.  Native ``+ - *`` cannot be checked on
-    plain ints; what they build is checked where it is read, by
-    `normalize` here and by the stored-coefficient check of
-    `checked_fill`."""
+    `vec_sub_scaled`) is canonical, every slot of a stored packed row
+    handed to `vec_sub_scaled` holds a canonical value, and every raw
+    value handed to `normalize` is below `products` * p^2, a sum of at
+    most `products` products of canonical scalars; `products` is 2^12
+    unless a test sets a tighter bound.  A Horner step held raw would
+    grow by a field width per step and break the bound.  Native
+    ``+ - *`` cannot be checked on plain ints; what they build is
+    checked where it is read, by `normalize` here and by the
+    stored-coefficient check of `checked_fill`.  The slots are read in
+    the row form of the last echelon built, which `_rows` records."""
 
     products = 2**12
 
@@ -184,8 +186,14 @@ class CheckedField(PrimeField):
         self._check(c, *row)
         return super().vec_scale(c, row)
 
+    def _rows(self, width):
+        self.form = super()._rows(width)
+        return self.form
+
     def vec_sub_scaled(self, row, c, other):
-        self._check(c, *row, *other)
+        slot, mask = self.form.slot, self.form.mask
+        self._check(c, *((other >> s) & mask for s in self.form.shifts))
+        assert other >> (len(self.form.shifts) * slot) == 0, "a stored row has extra slots"
         return super().vec_sub_scaled(row, c, other)
 
 

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointideal import PrimeField, QQ, is_prime
+from pointideal import PointSet, PrimeField, QQ, bm_gb, is_prime, staircase_gb
 
 from strategies import prime_scalars, rationals
 
@@ -109,12 +109,96 @@ class TestArithmetic:
 
     @given(st.sampled_from([QQ, F7]), st.data())
     def test_row_kernels_are_normalized_native_ops(self, f, data):
+        """`vec_sub_scaled` works on the field's row form; against a row
+        stored with scale 1, whose entries before its pivot are zero, it
+        reads as normalize(x - c * y) and leaves those entries as they
+        are."""
         scalar = rationals() if f == QQ else prime_scalars(7)
-        c = data.draw(scalar)
+        c, pivot = data.draw(scalar), data.draw(st.integers(0, 2))
         row, other = (data.draw(st.lists(scalar, min_size=3, max_size=3)) for _ in range(2))
         assert f.vec_scale(c, row) == [f.normalize(c * x) for x in row]
-        expected = [f.normalize(x - c * y) for x, y in zip(row, other)]
-        assert f.vec_sub_scaled(row, c, other) == expected
+        stored = [f.zero] * pivot + other[pivot:]
+        expected = [f.normalize(x - c * y) for x, y in zip(row, stored)]
+        form = f._rows(3)
+        updated = f.vec_sub_scaled(form.pack(row), c, form.store(other, pivot, f.one))
+        assert form.unpack(updated) == expected
+
+
+# The smallest prime, two small ones, a Mersenne prime and the largest
+# prime below 2^64, the top of the supported range.
+PACKED_PRIMES = [2, 5, 7919, 2**61 - 1, 2**64 - 59]
+
+
+class TestPackedRows:
+    """F_p's packed row form, read back slot by slot."""
+
+    def test_the_last_prime_is_the_largest_below_2_64(self):
+        assert is_prime(2**64 - 59)
+        assert not any(is_prime(q) for q in range(2**64 - 58, 2**64))
+
+    @pytest.mark.parametrize("p", PACKED_PRIMES)
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_updates_match_normalized_native_ops(self, p, data):
+        """A packed row updated against stored rows of any pivot and scale
+        reads, entry for entry, as the list updated by
+        normalize(x - c * y), after every update and when unpacked."""
+        f = PrimeField(p)
+        width = data.draw(st.integers(1, 8))
+        scalar = st.integers(0, p - 1)
+        values = data.draw(st.lists(scalar, min_size=width, max_size=width))
+        form = f._rows(width)
+        row = form.pack(values)
+        for _ in range(data.draw(st.integers(0, width))):
+            pivot, inv, c = (
+                data.draw(st.integers(0, width - 1)),
+                data.draw(st.integers(1, p - 1)),
+                data.draw(scalar),
+            )
+            ys = data.draw(st.lists(scalar, min_size=width, max_size=width))
+            stored = [0] * pivot + [f.normalize(inv * y) for y in ys[pivot:]]
+            values = [f.normalize(x - c * y) for x, y in zip(values, stored)]
+            row = f.vec_sub_scaled(row, c, form.store(ys, pivot, inv))
+            assert [form.entry(row, j) for j in range(width)] == values
+        assert form.unpack(row) == values
+
+    @pytest.mark.parametrize("p", PACKED_PRIMES)
+    @pytest.mark.parametrize("width", [1, 2, 17])
+    def test_no_slot_carries_in_the_worst_case(self, p, width):
+        """Every entry p - 1, every stored slot p - 1 (the entry 1,
+        negated) and every multiplier p - 1: after `width` updates every
+        slot holds (p - 1) + width * (p - 1)^2, the most the slot width
+        is sized for, and nothing has carried into the next slot."""
+        f = PrimeField(p)
+        form = f._rows(width)
+        row, stored = form.pack([p - 1] * width), form.store([1] * width, 0, 1)
+        assert all((stored >> s) & form.mask == p - 1 for s in form.shifts)
+        for _ in range(width):
+            row = f.vec_sub_scaled(row, p - 1, stored)
+        top = (p - 1) + width * (p - 1) ** 2
+        assert form.slot == top.bit_length() + 1
+        assert [(row >> s) & form.mask for s in form.shifts] == [top] * width
+        assert row >> (width * form.slot) == 0
+        assert form.unpack(row) == [f.normalize(p - 1 - width * (p - 1))] * width
+
+
+@st.composite
+def packed_pointsets(draw, field, n):
+    """Points of field^n, with coordinates uniform or small, so that
+    shared first coordinates occur over a large prime too."""
+    coord = st.one_of(st.integers(0, min(3, field.p - 1)), st.integers(0, field.p - 1))
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=20, unique=True))
+    return PointSet(field, n, pts)
+
+
+@pytest.mark.parametrize(
+    "field, n", [(PrimeField(2), 5), (PrimeField(2**61 - 1), 3)], ids=["F_2^5", "F_(2^61-1)^3"]
+)
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_oracle_on_packed_rows_matches_the_engine(field, n, data):
+    ps = data.draw(packed_pointsets(field, n))
+    assert bm_gb(ps) == staircase_gb(ps)
 
 
 class TestPrimality:
