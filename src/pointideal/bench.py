@@ -6,8 +6,8 @@ record per trial, a plain dict: the instance's size and trial index,
 whether the two engines' bases matched, the basis's corners and
 fingerprint, and the two engines' seconds.  `table_lines` reports the
 per-size medians of the seconds, their log-log slope and the crossover,
-the smallest size where the staircase engine's median beats the
-oracle's.  Everything else in a record is deterministic for a fixed seed
+the smallest size from which the staircase engine's median beats the
+oracle's at every size.  Everything else in a record is deterministic for a fixed seed
 and goes into `deterministic_payload`; wall-clock timings are reported
 separately and never enter the deterministic payload.
 """
@@ -145,24 +145,26 @@ def table_lines(records: list[dict]) -> list[str]:
     """A header, one row per size with each engine's median seconds and
     whether every trial matched, the fitted log-log slope of the medians
     against the size ("n/a" with a single size), then the crossover: the
-    smallest size where the staircase engine's median is below the
-    oracle's ("none" when there is no such size)."""
+    smallest size from which the staircase engine's median is below the
+    oracle's at that size and at every larger one ("none" when the
+    largest size loses)."""
     sizes = list(dict.fromkeys(r["size"] for r in records))
     lines = [f"{'size':>6} {'staircase[s]':>14} {'bm[s]':>14} {'match':>6}"]
     log_medians = []
-    faster = []
+    slower = []
     for size in sizes:
         group = [r for r in records if r["size"] == size]
         med = [median(r["seconds"][i] for r in group) for i in (0, 1)]
         ok = all(r["match"] for r in group)
         lines.append(f"{size:>6} {med[0]:>14.6f} {med[1]:>14.6f} {'yes' if ok else 'NO':>6}")
         log_medians.append([math.log(m) for m in med])
-        if med[0] < med[1]:
-            faster.append(size)
+        if med[0] >= med[1]:
+            slower.append(size)
     xs = [math.log(size) for size in sizes]
     slopes = [fit_slope(xs, ys) for ys in zip(*log_medians)]
     shown = ["n/a" if slope is None else f"{slope:.3f}" for slope in slopes]
     lines.append(f"log-log slope: staircase {shown[0]}, bm {shown[1]}")
+    faster = [size for size in sizes if size > max(slower, default=0)]
     lines.append(
         f"crossover: staircase faster from size {min(faster)}" if faster else "crossover: none"
     )

@@ -16,11 +16,38 @@ handing it to the field, and before storing it.  Only canonical scalars
 are ever stored in a `Polynomial`, whose equality compares the stored
 values as they are.
 
+**The raw form.**  Over the rationals every native operation on
+`Fraction` values reduces its result by a gcd, so a raw `Fraction` saves
+nothing.  The two kernels that fold many products into each value, the
+division (`poly.Reducer`) and the vanishing sums (`verify`), hold the
+field's raw form instead, ``field._raw()``:
+
+- over F_p a raw value is the int of the scalar contract, a term of an
+  element's tail is ``(t, c)``, and `read` is `normalize`;
+- over the rationals a raw value is a pair ``(n, d)`` of ints with
+  d > 0, standing for n / d and not reduced; a term is ``(t, n, d)``
+  with the coefficient's own numerator and denominator.  A fold
+  multiplies and adds ints only: the product of a / b and c / d is
+  (a * c, b * d), and a sum over one denominator d adds the numerators,
+  otherwise (a * d + c * b, b * d).  `read` reduces a pair by one gcd
+  and returns None for zero, which is exactly a zero numerator, since
+  the denominator is positive.
+
+Integer arithmetic is exact, so a pair stands for the same rational as
+the `Fraction` that the same native operations would build, and one
+gcd where it is read gives that `Fraction`'s numerator and denominator.
+A kernel reads a value before its zero test and before it feeds more
+products, which keeps the factors of every product reduced, and stores
+``scalar(read(x))``: the int itself, or ``Fraction(n, d)``.  A kernel
+calls its raw form once per division step (`fold`) or once per term row
+of a sum (`add_row`), never once per term update.
+
 A field object supplies only what native operators cannot:
 
 - `normalize` and `inv`;
 - the row kernels `vec_scale`, which returns a canonical list, and
   `vec_sub_scaled`, the echelon update on the field's row form below;
+- its raw form above (`_raw`) and its row form below (`_rows`);
 - `zero` and `one`, `coerce` (a Python value to a canonical scalar),
   `parse` and `format` (text), and `is_negative` (the sign printed).
 
@@ -54,6 +81,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from heapq import heappush
+from math import gcd
 
 _INT_RE = re.compile(r"-?[0-9]+")
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -149,6 +178,9 @@ class RationalField:
     def _rows(self, width: int) -> "_ListRows":
         return _ListRows(self)
 
+    def _raw(self) -> "_PairRaw":
+        return _PairRaw()
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -213,6 +245,9 @@ class PrimeField:
 
     def _rows(self, width: int) -> "_PackedRows":
         return _PackedRows(self, width)
+
+    def _raw(self) -> "_ResidueRaw":
+        return _ResidueRaw(self)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -285,6 +320,109 @@ class _PackedRows:
         and the others hold the canonical residue of -inv * y."""
         negated = self.field.vec_scale(self.p - inv, values[pivot:])
         return self.pack(negated) << self.shifts[pivot]
+
+
+class _ResidueRaw:
+    """F_p's raw form: a raw value is an int, read by the field's
+    `normalize` (see the module docstring), so every read of a subclass
+    goes through its own `normalize`."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, field: PrimeField):
+        self.read = field.normalize
+
+    @staticmethod
+    def row(values):
+        """The raw values of canonical scalars: the scalars themselves."""
+        return values
+
+    @staticmethod
+    def tail(terms: list) -> list:
+        """A tail in the term form: its (t, c) pairs as they are."""
+        return terms
+
+    @staticmethod
+    def scalar(c):
+        return c
+
+    @staticmethod
+    def fold(work: dict, heap: list, c, tail: list, shift: int) -> None:
+        """Add -c * tc at t + shift to `work` for every term (t, tc) of
+        `tail`, pushing -(t + shift) on `heap` for each new key."""
+        get = work.get
+        for t, tc in tail:
+            t += shift
+            old = get(t)
+            if old is None:
+                work[t] = -c * tc
+                heappush(heap, -t)
+            else:
+                work[t] = old - c * tc
+
+    @staticmethod
+    def add_row(sums: list, c, row: list) -> list:
+        """sums + c * row, pointwise."""
+        return [v + c * r for v, r in zip(sums, row)]
+
+
+class _PairRaw:
+    """The rationals' raw form: a raw value is an unreduced pair
+    (numerator, denominator) of ints with a positive denominator (see the
+    raw form in the module docstring)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def read(x):
+        """The reduced pair of x, or None when x is zero."""
+        n, d = x
+        if not n:
+            return None
+        g = gcd(n, d)
+        return (n // g, d // g) if g != 1 else x
+
+    @staticmethod
+    def row(values) -> list:
+        """The pairs of canonical scalars, in order."""
+        return [(c.numerator, c.denominator) for c in values]
+
+    @staticmethod
+    def tail(terms: list) -> list:
+        """A tail in the term form: (t, n, d) for each (t, c)."""
+        return [(t, c.numerator, c.denominator) for t, c in terms]
+
+    @staticmethod
+    def scalar(c) -> Fraction:
+        return Fraction(*c)
+
+    @staticmethod
+    def fold(work: dict, heap: list, c, tail: list, shift: int) -> None:
+        """Add -c * tn / td at t + shift to `work` for every term
+        (t, tn, td) of `tail`, pushing -(t + shift) on `heap` for each
+        new key; over equal denominators only the numerators add."""
+        cn, cd = c
+        get = work.get
+        for t, tn, td in tail:
+            t += shift
+            n, d = -cn * tn, cd * td
+            old = get(t)
+            if old is None:
+                work[t] = n, d
+                heappush(heap, -t)
+            else:
+                on, od = old
+                work[t] = (on + n, d) if od == d else (on * d + n * od, od * d)
+
+    @staticmethod
+    def add_row(sums: list, c: Fraction, row: list) -> list:
+        """sums + c * row, pointwise, on pairs."""
+        cn, cd = c.numerator, c.denominator
+        out = []
+        for (vn, vd), (rn, rd) in zip(sums, row):
+            d = cd * rd
+            out.append((vn + cn * rn, d) if vd == d else (vn * d + cn * rn * vd, vd * d))
+        return out
 
 
 QQ = RationalField()

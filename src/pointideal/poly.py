@@ -8,8 +8,9 @@ significant variable.
 Coefficients are exact field scalars (see :mod:`pointideal.field`),
 always stored canonical: the public constructor coerces each one, and
 the internal constructions compute with native operators and
-`field.normalize` -- the product and the division hold raw sums while
-they work and normalize each coefficient once, before it is stored.
+`field.normalize` -- the product holds raw sums while it works and
+normalizes each coefficient once, before it is stored, and the division
+does the same in the field's raw form (`field._raw`).
 Terms are stored with no zero coefficients and no duplicate exponents,
 ordered descending, so the leading term is always the first one.  The
 arithmetic is what the engines need: product, negation, S-polynomial
@@ -25,7 +26,7 @@ up once per basis; only the remainder goes back to tuples.
 from __future__ import annotations
 
 from bisect import bisect_left
-from heapq import heappop, heappush
+from heapq import heappop
 from operator import add as add_, itemgetter, lshift, sub as sub_
 from typing import Mapping
 
@@ -220,10 +221,11 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _packed(pack, b: Polynomial) -> tuple[int, list]:
-    """A monic element as its packed leading exponent and packed tail."""
+def _packed(pack, raw, b: Polynomial) -> tuple[int, list]:
+    """A monic element as its packed leading exponent and its packed tail
+    in the term form of the field's raw form `raw`."""
     (lead, _), *tail = b.terms.items()
-    return pack(lead), [(pack(t), c) for t, c in tail]
+    return pack(lead), raw.tail([(pack(t), c) for t, c in tail])
 
 
 class Reducer:
@@ -271,35 +273,48 @@ class Reducer:
     the width needs no setting, only grows, and changes a few times in
     a reducer's life.
 
-    **Delayed reduction.**  The working set holds raw values (see
-    `field`): a step that cancels the term c * X^e adds the raw product
-    -c * tc to the working value of each shifted tail term, with no
-    normalization.  Every such c is canonical and so is every tc, an
-    element's stored coefficient, so a working value is the term's
-    canonical coefficient in f, or 0, plus one product of two canonical
-    scalars per step that reached it, and stays a few field widths wide.
-    A term leaves the working set only when the heap yields it, and is
-    normalized right then.  When the normalized value is zero (the raw
-    value is a multiple of p, or an exact 0 over the rationals) the
-    term is dropped; otherwise that canonical value is the c the next
-    step cancels, or the coefficient stored in the remainder.  So every
-    coefficient leaving `reduce` is a nonzero canonical scalar, and the
-    steps and the remainder are those of a loop that normalizes after
-    every operation, since each term's value is the same residue either
-    way.  `Polynomial.__eq__` compares stored values as they are, so a
-    missed normalization fails the term-for-term tests against the
-    reference division.
+    **Delayed reduction.**  The working set holds raw values in the
+    field's raw form (see `field`), and each element's tail is kept in
+    its term form: ``(t, c)`` over F_p, ``(t, n, d)`` over the rationals.
+    A step that cancels the term c * X^e is one `fold` call, which adds
+    the raw product -c * tc to the working value of each shifted tail
+    term, with no normalization and no gcd.  Every such c has been read
+    and every tc is an element's stored coefficient, so over F_p a
+    working value is the term's canonical coefficient in f, or 0, plus
+    one product of two canonical scalars per step that reached it, and
+    stays a few field widths wide.  A term leaves the working set only
+    when the heap yields it, and is read right then: `normalize` over
+    F_p, one gcd over the rationals.  When the value read is zero (the
+    raw value is a multiple of p, or a pair with numerator 0) the term
+    is dropped; otherwise that value is the c the next step cancels, or
+    the coefficient stored in the remainder.
+
+    **The same steps and the same remainder.**  A loop that normalizes
+    after every operation, on ints modulo p or on `Fraction` values,
+    holds at each exponent the sum of the same products in the same
+    order.  Over F_p the raw int is congruent to that residue; over the
+    rationals the pair (n, d) stands for exactly that `Fraction`, since
+    every pair operation is the exact integer formula of the rational
+    one, and one gcd reduces it to the `Fraction`'s own numerator and
+    denominator.  So each read gives the value that loop holds: the zero
+    tests agree, the heap yields the same exponents, the same element
+    divides each term with the same c, and every coefficient leaving
+    `reduce` is that loop's nonzero canonical scalar.
+    `Polynomial.__eq__` compares stored values as they are, so a missed
+    normalization fails the term-for-term tests against the reference
+    division.
     """
 
-    __slots__ = ("n", "elements", "_bound", "_width", "_shifts", "_guard", "_reducers")
+    __slots__ = ("n", "elements", "_raw", "_bound", "_width", "_shifts", "_guard", "_reducers")
 
     def __init__(self, basis=()):
         self.n = None
+        self._raw = None  # the field's raw form, set by the first element
         self.elements: list[Polynomial] = []
         self._bound = 1  # exceeds every coordinate of every element
         self._width = 0
         self._shifts, self._guard = range(0), 0
-        self._reducers: list[tuple[int, list]] = []  # (packed lead, packed tail), ascending
+        self._reducers: list[tuple[int, list]] = []  # (packed lead, tail), ascending
         for b in basis:
             self.add(b)
 
@@ -308,11 +323,13 @@ class Reducer:
         return lambda e: sum(map(lshift, e, shifts))
 
     def _widen(self, width: int) -> None:
-        """Repack every element at the larger field width."""
+        """Repack every element at the larger field width: its packed
+        leading exponent and its whole tail in the term form, so that no
+        term keeps an exponent packed at the old width."""
         self._width = width
         self._shifts, self._guard = packing(self.n, width)
         pack = self._packer()
-        self._reducers = [_packed(pack, b) for b in self.elements]
+        self._reducers = [_packed(pack, self._raw, b) for b in self.elements]
 
     def _fit(self, bound: int) -> None:
         """Widen to the width that coordinates below `bound` need (see
@@ -328,10 +345,10 @@ class Reducer:
         if self.elements:
             self.elements[0]._check_compatible(b)
         else:
-            self.n = b.n
+            self.n, self._raw = b.n, b.field._raw()
         self._bound = max(self._bound, max(map(max, b.terms)) + 1)
         self._fit(self._bound)
-        packed = _packed(self._packer(), b)
+        packed = _packed(self._packer(), self._raw, b)
         i = bisect_left(self._reducers, packed[0], key=itemgetter(0))
         if i < len(self._reducers) and self._reducers[i][0] == packed[0]:
             raise ValueError(f"duplicate leading exponent {b.leading_exponent()} in basis")
@@ -348,33 +365,26 @@ class Reducer:
         self._fit(max(self._bound, max(map(max, f.terms)) + 1))
         guard, reducers, shifts = self._guard, self._reducers, self._shifts
         mask = (1 << self._width) - 1
-        fld = f.field
-        norm = fld.normalize
-        work = {sum(map(lshift, e, shifts)): c for e, c in f.terms.items()}
+        raw = self._raw
+        read, fold, scalar = raw.read, raw.fold, raw.scalar
+        packed = [sum(map(lshift, e, shifts)) for e in f.terms]
+        work = dict(zip(packed, raw.row(f.terms.values())))
         heap = [-e for e in work]  # ascending: the terms are lex-descending
         remainder: dict[Exponent, object] = {}
         while heap:
             e = -heappop(heap)
-            c = norm(work.pop(e))
+            c = read(work.pop(e))
             if not c:  # the raw contributions cancelled
                 continue
             guarded = e | guard
             for lead, tail in reducers:
                 if (guarded - lead) & guard == guard:
                     # the leading term cancels c exactly (the element is monic)
-                    shift = e - lead
-                    for t, tc in tail:
-                        t += shift
-                        old = work.get(t)
-                        if old is None:
-                            work[t] = -c * tc
-                            heappush(heap, -t)
-                        else:
-                            work[t] = old - c * tc
+                    fold(work, heap, c, tail, e - lead)
                     break
             else:
-                remainder[tuple([(e >> s) & mask for s in shifts])] = c
-        return Polynomial._trusted(fld, f.n, remainder, ordered=True)
+                remainder[tuple([(e >> s) & mask for s in shifts])] = scalar(c)
+        return Polynomial._trusted(f.field, f.n, remainder, ordered=True)
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:

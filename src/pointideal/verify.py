@@ -12,10 +12,13 @@ equality.
 
 **Vanishing.**  Each element is evaluated at all points at once, as the
 sum of its coefficients times monomial rows (`poly.monomial_row`).  The
-sums are held raw (see `field`): each term adds the product c * r of
-two canonical scalars to a point's value, and each value is normalized
-once, before its zero test, so it stays at most the element's term
-count times p^2 on F_p.
+sums are held in the field's raw form (see `field`): each term adds the
+product c * r of two canonical scalars to a point's value, one
+`add_row` call per term, and each value is read once, before its zero
+test.  On F_p a value stays at most the element's term count times p^2.
+On the rationals a value is a pair of ints, each row is split into its
+numerators and denominators once per exponent, and a value that
+vanishes is never reduced: its zero test is its numerator.
 
 **Which S-pairs.**  Let L_1, ..., L_c be the distinct leading
 exponents, m_ij = lcm(L_i, L_j), and sigma_ij = (m_ij / L_i) e_i -
@@ -119,24 +122,29 @@ def check_vanishing(gb: GroebnerBasis, ps: PointSet) -> CheckResult:
 
     Each element is evaluated at all points at once, as the sum of its
     coefficients times monomial rows (`poly.monomial_row`), held raw and
-    normalized once per value (see the module docstring); one row cache
-    serves every element, so under `verify_basis` at most
-    |D| + #corners rows are built, D the staircase.  Elements are tried
+    read once per value (see the module docstring); one row cache, with
+    each row's raw form beside it, serves every element, so under
+    `verify_basis` at most |D| + #corners rows are built, D the
+    staircase.  Elements are tried
     in order and, for each, the points in order, so the witness is the
     first failing (element, point) pair."""
     _check_compatible(gb, ps)
     fld, points = ps.field, ps.points
+    raw = fld._raw()
     rows: dict = {}
+    raw_rows: dict = {}
     for f in gb.elements:
-        values = [fld.zero] * len(points)
+        values = raw.row([fld.zero] * len(points))
         for e, c in f.terms.items():
-            row = monomial_row(fld, points, e, rows)
-            values = [v + c * r for v, r in zip(values, row)]
-        for pt, value in zip(points, map(fld.normalize, values)):
-            if value != fld.zero:
+            row = raw_rows.get(e)
+            if row is None:
+                row = raw_rows[e] = raw.row(monomial_row(fld, points, e, rows))
+            values = raw.add_row(values, c, row)
+        for pt, value in zip(points, map(raw.read, values)):
+            if value:
                 witness = (
                     f"element with leading exponent {f.leading_exponent()} "
-                    f"evaluates to {fld.format(value)} at {format_point(fld, pt)}"
+                    f"evaluates to {fld.format(raw.scalar(value))} at {format_point(fld, pt)}"
                 )
                 return CheckResult("vanishing", False, witness)
     return CheckResult("vanishing", True)

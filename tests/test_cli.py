@@ -45,18 +45,24 @@ def _records(seconds_by_size):
 @pytest.mark.parametrize(
     "seconds_by_size, line",
     [
-        ({8: [(0.2, 0.1)], 16: [(0.3, 0.4), (0.5, 0.4), (0.1, 0.4)], 32: [(0.9, 0.8)]},
+        ({8: [(0.2, 0.1)], 16: [(0.3, 0.4), (0.5, 0.4), (0.1, 0.4)], 32: [(0.1, 0.8)]},
          "crossover: staircase faster from size 16"),
+        ({8: [(0.2, 0.1)], 16: [(0.3, 0.4), (0.5, 0.4), (0.1, 0.4)], 32: [(0.9, 0.8)]},
+         "crossover: none"),
         ({32: [(0.1, 0.2)], 8: [(0.2, 0.1)], 16: [(0.1, 0.3)]},
          "crossover: staircase faster from size 16"),
+        ({16: [(0.1, 0.2)], 32: [(0.1, 0.2)], 8: [(0.1, 0.3)], 64: [(0.1, 0.2)]},
+         "crossover: staircase faster from size 8"),
+        ({64: [(0.1, 0.2)], 8: [(0.1, 0.3)], 32: [(0.2, 0.2)], 16: [(0.1, 0.2)]},
+         "crossover: staircase faster from size 64"),
         ({8: [(0.2, 0.1)], 16: [(0.4, 0.4)]}, "crossover: none"),
     ],
 )
 def test_bench_crossover_is_the_smallest_size_where_the_staircase_median_wins(
     seconds_by_size, line
 ):
-    """The medians decide, a tie is no win, and the sizes need not be
-    ascending."""
+    """The medians decide, a tie is no win, a win followed by a loss at a
+    larger size is no crossover, and the sizes need not be ascending."""
     assert table_lines(_records(seconds_by_size))[-1] == line
 
 

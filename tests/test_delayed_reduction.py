@@ -11,6 +11,7 @@ the comparisons.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -45,9 +46,14 @@ FIELDS = st.sampled_from([F2, F7919, F61, QQ])
 
 
 def is_canonical(field, c) -> bool:
-    """c is a canonical scalar: a Fraction, or an int in range(p)."""
+    """c is a canonical scalar: a Fraction in lowest terms with a
+    positive denominator, or an int in range(p)."""
     if field == QQ:
-        return isinstance(c, Fraction)
+        return (
+            isinstance(c, Fraction)
+            and c.denominator > 0
+            and gcd(c.numerator, c.denominator) == 1
+        )
     return isinstance(c, int) and 0 <= c < field.p
 
 
@@ -128,6 +134,63 @@ def test_raw_contributions_that_sum_to_a_multiple_of_p_cancel():
     assert (2, 0) not in remainder.terms
     assert list(remainder.terms.items()) == [((1, 0), 1)]
     assert remainder == reference_normal_form(f, basis)
+
+
+@pytest.mark.parametrize(
+    "c, tail", [(Fraction(1, 2), Fraction(2, 3)), (Fraction(1), Fraction(1, 3))],
+    ids=["unequal denominators", "equal denominators"],
+)
+def test_raw_pairs_that_sum_to_zero_cancel(c, tail):
+    """Divide c*X1*X2 + X1^3 + X1 by X2 + tail*X1 and X1^3 - (1/3)*X1^2
+    over QQ.  Cancelling c*X1*X2 leaves the raw pair -c * tail at X1^2,
+    (-2, 6) or (-1, 3), and cancelling X1^3 adds the pair (1, 3): the
+    first sum goes through the common denominator 18, the second adds
+    the numerators.  Either sum has numerator 0, so X1^2 must not reach
+    the remainder."""
+    f = Polynomial(QQ, 2, {(1, 1): c, (3, 0): 1, (1, 0): 1})
+    basis = [
+        Polynomial(QQ, 2, {(0, 1): 1, (1, 0): tail}),
+        Polynomial(QQ, 2, {(3, 0): 1, (2, 0): Fraction(-1, 3)}),
+    ]
+    assert c * tail == Fraction(1, 3)
+    remainder = normal_form(f, basis)
+    assert list(remainder.terms.items()) == [((1, 0), 1)]
+    assert remainder == reference_normal_form(f, basis)
+
+
+def wide_rationals():
+    """Rationals whose denominators run up to 10^6, drawn often from a few
+    shared values so that raw pairs meet equal denominators as well as
+    unequal ones."""
+    dens = st.one_of(st.sampled_from([1, 6, 999983, 10**6]), st.integers(1, 10**6))
+    return st.builds(Fraction, st.integers(-(10**6), 10**6), dens)
+
+
+@st.composite
+def wide_divisions(draw):
+    """A QQ polynomial and a monic basis whose coefficients are
+    `wide_rationals`, so that every tail mixes denominators."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    f = Polynomial(QQ, n, draw(st.dictionaries(exps, wide_rationals(), max_size=6)))
+    leads = draw(st.lists(exps, min_size=1, max_size=4, unique=True))
+    basis = []
+    for lead in leads:
+        tail = draw(st.dictionaries(exps, wide_rationals().filter(bool), max_size=4))
+        terms = {e: c for e, c in tail.items() if lex_key(e) < lex_key(lead)}
+        terms[lead] = 1
+        basis.append(Polynomial(QQ, n, terms))
+    return f, basis
+
+
+@given(wide_divisions())
+@settings(max_examples=150)
+def test_the_division_on_wide_denominators_matches_the_reference(problem):
+    f, basis = problem
+    remainder = normal_form(f, basis)
+    expected = reference_normal_form(f, basis)
+    assert list(remainder.terms.items()) == list(expected.terms.items())
+    assert stored_canonical(remainder)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """The exact kernels pinned to their reference forms, and the two engines
 checked against each other and the certificate."""
 
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pointideal import (
+    CheckResult,
     GroebnerBasis,
     PointSet,
     Polynomial,
@@ -173,6 +175,60 @@ def test_engines_agree_on_dense_grid_subsets(ps):
     gb = staircase_gb(ps)
     assert gb == bm_gb(ps)
     assert verify_basis(gb, ps).overall
+
+
+def fractional_points(seed: int, size: int) -> PointSet:
+    """Distinct points of QQ^3 from SplitMix64(seed), drawn like the
+    rational3 benchmark workload: X1 = a/b with |a| <= 4 and b <= 3,
+    X2 and X3 = a/b with |a| <= 9 and b <= 4."""
+    rng = SplitMix64(seed)
+
+    def fraction(bound, max_den):
+        return Fraction(rng.below(2 * bound + 1) - bound, rng.below(max_den) + 1)
+
+    points = set()
+    while len(points) < size:
+        points.add((fraction(4, 3), fraction(9, 4), fraction(9, 4)))
+    return PointSet(QQ, 3, points)
+
+
+@pytest.mark.parametrize(
+    "seed, size, element, vanishing, s_pair",
+    [
+        (
+            3,
+            30,
+            0,
+            "element with leading exponent (14, 0, 0) evaluates to 65536/7 at (-4, -7/4, -7/4)",
+            "S-polynomial of the pair (14, 0, 0), (10, 1, 0) does not reduce to zero",
+        ),
+        (
+            4,
+            40,
+            5,
+            "element with leading exponent (1, 5, 0) evaluates to -80/21 at (-4, -5/3, -2)",
+            "S-polynomial of the pair (18, 0, 0), (1, 0, 1) does not reduce to zero",
+        ),
+    ],
+    ids=["30 points", "40 points"],
+)
+def test_engines_agree_on_fractional_points_at_depth(seed, size, element, vanishing, s_pair):
+    """Fractional coordinates make coefficients of many digits over
+    denominators that differ from term to term.  The engines agree and
+    the certificate passes; adding 1/7 to the middle term (in lex order)
+    of one element gives the pinned witnesses."""
+    ps = fractional_points(seed, size)
+    gb = staircase_gb(ps)
+    assert gb == bm_gb(ps)
+    assert verify_basis(gb, ps).overall
+    elements = list(gb.elements)
+    terms = dict(elements[element].terms)
+    e = sorted(terms, key=lex_key)[len(terms) // 2]
+    terms[e] += Fraction(1, 7)
+    elements[element] = Polynomial(QQ, 3, terms)
+    mutant = GroebnerBasis(gb.staircase, tuple(elements))
+    assert check_vanishing(mutant, ps) == CheckResult("vanishing", False, vanishing)
+    assert check_buchberger(mutant) == CheckResult("buchberger", False, s_pair)
 
 
 @st.composite
@@ -409,6 +465,32 @@ def test_a_reducer_grown_by_add_equals_one_built_at_once(drawn):
     assert list(normal_form(f, grown).terms.items()) == list(
         normal_form(f, at_once).terms.items()
     )
+
+
+def test_a_rational_reducer_grown_across_a_width_change_divides_like_one_built_at_once():
+    """X1^40 enters after X2^2 - (1/2)*X1*X2 + (3/5)*X2 and widens the
+    packing, which rebuilds every element's tail in the rationals' term
+    form, packed exponent with numerator and denominator.  The tail
+    terms hold X2, whose field moves with the width, so a tail left at
+    the old width would put the terms of X2^2's steps at the wrong
+    exponents."""
+    basis = [
+        xs(QQ, 2, ((0, 2), 1), ((1, 1), Fraction(-1, 2)), ((0, 1), Fraction(3, 5))),
+        xs(QQ, 2, ((40, 0), 1), ((3, 0), Fraction(2, 3)), ((0, 0), Fraction(-5, 7))),
+    ]
+    grown = Reducer()
+    widths = []
+    for b in basis:
+        grown.add(b)
+        widths.append(grown._width)
+    assert widths[0] < widths[1]
+    at_once = Reducer(basis)
+    assert (grown._width, grown._reducers) == (at_once._width, at_once._reducers)
+    assert [len(term) for _, tail in grown._reducers for term in tail] == [3, 3, 3, 3]
+    f = xs(QQ, 2, ((41, 2), Fraction(3, 4)), ((2, 3), Fraction(-7, 5)), ((0, 1), 1))
+    expected = list(reference_normal_form(f, basis).terms.items())
+    assert list(normal_form(f, grown).terms.items()) == expected
+    assert list(normal_form(f, at_once).terms.items()) == expected
 
 
 def test_a_reducer_checks_each_element_as_it_enters():
