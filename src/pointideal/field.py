@@ -48,6 +48,15 @@ A field object supplies only what native operators cannot:
 - the row kernels `vec_scale`, which returns a canonical list, and
   `vec_sub_scaled`, the echelon update on the field's row form below;
 - its raw form above (`_raw`) and its row form below (`_rows`);
+- the univariate kernels of `interp`, one node at a time:
+  `_times_linear` multiplies the master product by a node's linear
+  factor, `_monic` reads the finished product as the monic vanishing
+  polynomial, and `_characteristic` deflates it by one node.  Over F_p
+  these are delayed-reduction loops, one `normalize` per coefficient or
+  Horner step.  Over the rationals a node a = n / d clears its own
+  denominator: the product is the integral prod (d X - n), the loops
+  run on ints with exact divisions, and each coefficient returned is
+  one ``Fraction`` (`interp` gives the formulas);
 - `zero` and `one`, `coerce` (a Python value to a canonical scalar),
   `parse` and `format` (text), and `is_negative` (the sign printed).
 
@@ -74,12 +83,15 @@ and `unpack` reads them all.
 Scalar grammar: ``int := ['-'] digit+`` and, for the rationals only,
 ``rational := int ['/' digit+]``, where a digit is one of the ASCII
 characters 0-9 (``int()`` alone would also take other scripts' digits
-and underscores between digits).
+and underscores between digits).  A scalar may have any number of
+digits: `parse` and `format` go through `decimal` past the digit limit
+of Python's own int/str conversion.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from heapq import heappush
 from math import gcd
@@ -88,6 +100,21 @@ _INT_RE = re.compile(r"-?[0-9]+")
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 _MAX_PRIME = 2**64
+
+
+def _int(digits: str) -> int:
+    """The int of a string of the scalar grammar, of any length.  `int`
+    alone refuses a string past the interpreter's digit limit
+    (``sys.get_int_max_str_digits()``: 4,300 by default, and no limit
+    can be set below 640), which `decimal` does not have."""
+    return int(digits) if len(digits) <= 640 else int(Decimal(digits))
+
+
+def _digits(x: int) -> str:
+    """str(x) for an int of any length (see `_int`); an int of at most
+    2,000 bits has at most 603 digits."""
+    return str(x) if x.bit_length() <= 2000 else str(Decimal(x))
+
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24;
 # `is_prime` also trial-divides by them first.
@@ -142,16 +169,14 @@ class RationalField:
         m = _RATIONAL_RE.fullmatch(text.strip())
         if m is None:
             raise ValueError(f"malformed rational scalar {text!r}")
-        num = int(m.group(1))
-        if m.group(2) is None:
-            return Fraction(num)
-        den = int(m.group(2))
+        num, den = _int(m.group(1)), _int(m.group(2) or "1")
         if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
         return Fraction(num, den)
 
     def format(self, x: Fraction) -> str:
-        return str(x)
+        num = _digits(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_digits(x.denominator)}"
 
     def normalize(self, x):
         return x
@@ -174,6 +199,33 @@ class RationalField:
         k = len(row) - len(other)
         row[k:] = [x - c * y for x, y in zip(row[k:], other)]
         return row
+
+    def _times_linear(self, coeffs: list, a: Fraction) -> list:
+        """coeffs * (d X - n) for a = n / d, dense ascending-degree lists
+        of ints."""
+        n, d = a.numerator, a.denominator
+        return [d * x - n * y for x, y in zip([0, *coeffs], [*coeffs, 0])]
+
+    def _monic(self, coeffs: list) -> list:
+        """The product of `_times_linear` divided by its lead: one
+        `Fraction` per coefficient."""
+        return [Fraction(c, coeffs[-1]) for c in coeffs]
+
+    def _characteristic(self, master: list, a: Fraction) -> list:
+        """The characteristic polynomial of the root a = n / d of the
+        integral master product, on ints: the exact quotient q by
+        d X - n, by synthetic division; H = sum q_k n^k d^(m-1-k), by a
+        homogeneous Horner loop on q's coefficients as the division finds
+        them, top first; and coefficient k as q_k d^(m-1) / H, one
+        `Fraction` each (see `interp`)."""
+        n, d = a.numerator, a.denominator
+        acc, h, power, descending = master[-1] // d, 0, 1, []
+        for c in reversed(master[:-1]):
+            descending.append(acc)
+            h, power = h * n + acc * power, power * d
+            acc = (c + n * acc) // d  # after the last step, the remainder 0
+        scale = power // d
+        return [Fraction(q * scale, h) for q in reversed(descending)]
 
     def _rows(self, width: int) -> "_ListRows":
         return _ListRows(self)
@@ -218,7 +270,7 @@ class PrimeField:
         m = _INT_RE.fullmatch(text.strip())
         if m is None:
             raise ValueError(f"malformed prime-field scalar {text!r}")
-        return int(text) % self.p
+        return _int(m.group()) % self.p
 
     def format(self, x: int) -> str:
         return str(x)
@@ -242,6 +294,32 @@ class PrimeField:
         """row - c * other on packed rows, where `other` is stored
         negated (see the row form in the module docstring)."""
         return row + c * other
+
+    def _times_linear(self, coeffs: list, a: int) -> list:
+        """coeffs * (X - a), dense ascending-degree lists: coefficient k
+        is coeffs[k - 1] - a * coeffs[k], one normalized expression per
+        coefficient."""
+        norm = self.normalize
+        return [norm(x - a * y) for x, y in zip([0, *coeffs], [*coeffs, 0])]
+
+    def _monic(self, coeffs: list) -> list:
+        """The product of `_times_linear`, which is monic and canonical."""
+        return coeffs
+
+    def _characteristic(self, master: list, a: int) -> list:
+        """The characteristic polynomial of the root a of the monic
+        master product: the quotient by X - a, by synthetic division,
+        scaled by the inverse of its value at a, by Horner's rule on the
+        quotient's coefficients as the division finds them, top first.
+        Each step is normalized at once, because it feeds the next one:
+        held raw, it would gain the bits of a whole field element per
+        step."""
+        norm, acc, denom, descending = self.normalize, 1, 0, []
+        for c in reversed(master[:-1]):
+            descending.append(acc)
+            denom = norm(acc + a * denom)
+            acc = norm(c + a * acc)  # after the last step, the remainder 0
+        return self.vec_scale(self.inv(denom), descending[::-1])
 
     def _rows(self, width: int) -> "_PackedRows":
         return _PackedRows(self, width)

@@ -9,9 +9,35 @@ polynomials: the monic polynomial of degree #V with root set exactly V.
 lowest degree first, which callers read directly; `univariate_vanishing`
 and `char_poly` return polynomials in ambient dimension 1.
 
-The loops compute each coefficient as one expression in native
-arithmetic and normalize it once (delayed reduction, see `field`), so
-every list they return holds canonical scalars.
+Both lists come from the master product of the linear factors of the
+values, built once, and from one synthetic division of it per node.
+The field (see `field`) multiplies in each node's factor
+(`_times_linear`), reads the product (`_monic`) and runs each node's
+division (`_characteristic`):
+
+- over F_p the factors are X - a, each coefficient is one expression
+  in native arithmetic normalized once (delayed reduction), and the
+  characteristic polynomial of a is the quotient Q_a of the master
+  product by X - a, divided by its value Q_a(a);
+- over the rationals each node clears its own denominator.  Write
+  a = n / d in lowest terms.  The master product
+  P = prod (d X - n) has integer coefficients and the lead D = prod d,
+  so coefficient k of the vanishing polynomial is P_k / D.  The
+  quotient Q_a = P / (d_a X - n_a) is the product of the other factors,
+  so it is integral too, and the synthetic division that finds it is
+  exact over the ints: from P_k = d_a q_(k-1) - n_a q_k,
+  q_(m-1) = P_m // d_a and q_(k-1) = (P_k + n_a q_k) // d_a, where
+  m = #values.  With H = d_a^(m-1) Q_a(a) = sum q_k n_a^k d_a^(m-1-k),
+  found by a homogeneous Horner loop, coefficient k of chi(T, a) is
+  q_k d_a^(m-1) / H.  H is the product of the other factors at a,
+  times d_a^(m-1), so it is not 0.
+
+Every loop over the rationals multiplies, adds and divides ints only,
+and each coefficient returned is one `Fraction`.  Clearing each node's
+own denominator keeps the ints near the sizes of the numerators and
+denominators that `Fraction` arithmetic carries; clearing one lcm L of
+all the denominators instead would scale coefficient k by L^k.  Every
+list returned holds canonical scalars.
 """
 
 from __future__ import annotations
@@ -41,13 +67,21 @@ def _mul_linear(field, coeffs, root):
     return [norm(a - root * b) for a, b in zip([zero, *coeffs], [*coeffs, zero])]
 
 
+def _master(field, values: Sequence) -> list:
+    """The master product of the linear factors of `values`, dense,
+    lowest degree first: prod (X - a) over F_p, and over the rationals
+    the integral prod (d X - n) for a = n / d (see the module
+    docstring)."""
+    _check_distinct(values)
+    coeffs = [1]
+    for v in values:
+        coeffs = field._times_linear(coeffs, v)
+    return coeffs
+
+
 def vanishing_coeffs(field, values: Sequence) -> list:
     """Dense coefficients of the monic polynomial with root set `values`."""
-    _check_distinct(values)
-    coeffs = [field.one]
-    for v in values:
-        coeffs = _mul_linear(field, coeffs, v)
-    return coeffs
+    return field._monic(_master(field, values))
 
 
 def univariate_vanishing(field, values: Sequence) -> Polynomial:
@@ -76,28 +110,18 @@ def char_poly_family(field, values: Sequence) -> dict:
     dense coefficient list of length #values, lowest degree first (the
     form `vanishing_coeffs` returns), keyed by its node.
 
-    Builds the master product prod (X - b) once and deflates it by each
-    node with synthetic division, which is quadratic overall instead of
-    cubic.  Agrees with char_poly node for node.
+    Builds the master product once and deflates it by each node's
+    linear factor with synthetic division, which is quadratic overall
+    instead of cubic.  Agrees with char_poly node for node.
 
-    Each Horner step is one normalized expression, a + node * acc (see
-    `field`).  It is normalized at every step, not once at the end,
-    because acc feeds the next step: held raw, it would gain the bits of
-    a whole field element per step.
+    Over the rationals the node a = n / d clears its own denominator:
+    the master product prod (d_b X - n_b) is integral, its quotient q by
+    d X - n is the product of the other factors, so each step
+    q_(k-1) = (P_k + n q_k) // d divides exactly, and coefficient k of
+    the result is q_k d^(m-1) / H, with H = sum q_k n^k d^(m-1-k) from a
+    homogeneous Horner loop and m = #values (see the module docstring).
+    Only ints enter the loops, and each coefficient becomes one
+    `Fraction`.
     """
-    master = vanishing_coeffs(field, values)
-    m = len(values)
-    norm = field.normalize
-    family = {}
-    for node in values:
-        quotient = [field.zero] * m
-        acc = field.one  # running Horner value; master is monic
-        for k in range(m - 1, 0, -1):
-            quotient[k] = acc
-            acc = norm(master[k] + node * acc)
-        quotient[0] = acc  # the next step would give the remainder, 0
-        denom = field.zero
-        for k in range(m - 1, -1, -1):
-            denom = norm(quotient[k] + node * denom)
-        family[node] = field.vec_scale(field.inv(denom), quotient)
-    return family
+    master = _master(field, values)
+    return {a: field._characteristic(master, a) for a in values}

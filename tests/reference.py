@@ -15,21 +15,36 @@ references for division, product, S-polynomial, characteristic
 polynomials and the split of the slices around a corner, so no
 reference shares the code it checks.
 
-`evaluate`, `variable`, `poly_add`, `poly_sub`, `exp_divides` and
-`exp_lcm` are plain helpers the tests build on; the package itself never
-evaluates a `Polynomial` at a point, nor adds or subtracts two of them,
-and it tests divisibility and forms lcms on packed exponents.
+`evaluate`, `variable`, `poly_add`, `poly_sub`, `exp_divides`,
+`exp_lcm` and `is_canonical` are plain helpers the tests build on; the
+package itself never evaluates a `Polynomial` at a point, nor adds or
+subtracts two of them, and it tests divisibility and forms lcms on
+packed exponents.
 """
 
 from __future__ import annotations
 
 import heapq
 
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
-from pointideal import Polynomial
+from pointideal import Polynomial, QQ
 from pointideal.poly import lex_key
 from pointideal.verify import CheckResult
+
+
+def is_canonical(field, c) -> bool:
+    """c is a canonical scalar: a Fraction in lowest terms with a
+    positive denominator, or an int in range(p)."""
+    if field == QQ:
+        return (
+            isinstance(c, Fraction)
+            and c.denominator > 0
+            and gcd(c.numerator, c.denominator) == 1
+        )
+    return isinstance(c, int) and 0 <= c < field.p
 
 
 def exp_divides(d, e) -> bool:

@@ -276,6 +276,26 @@ def test_rational_points_print_in_field_notation(tmp_path, capsys):
     assert capsys.readouterr().err == "error: duplicate point (1/2, 0) at indices 0 and 1\n"
 
 
+def test_scalars_past_the_int_str_digit_limit_exit_0(tmp_path, capsys):
+    """The scalar grammar puts no bound on the number of digits, while
+    Python's int/str conversion refuses more than 4,300 by default.  The
+    points 0 and 10^4400 of QQ have the basis X1^2 - 10^4400 X1, which
+    gb writes and check reads back."""
+    big = "1" + "0" * 4400
+    points = write_json(tmp_path / "points.json", {
+        "field": {"type": "rational"},
+        "dimension": 1,
+        "points": [["0"], [big]],
+    })
+    gb = basis_of(tmp_path, points)
+    assert gb["basis"][0]["terms"] == [
+        {"exp": [2], "coeff": "1"},
+        {"exp": [1], "coeff": "-" + big},
+    ]
+    assert main(["check", "--points", points, "--basis", str(tmp_path / "basis.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "overall: PASS"
+
+
 def test_check_passes_on_the_engine_output(tmp_path, capsys):
     points = write_json(tmp_path / "points.json", POINTS)
     basis = write_json(tmp_path / "b.json", basis_of(tmp_path, points))

@@ -11,7 +11,6 @@ the comparisons.
 """
 
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,7 +34,13 @@ from pointideal import (
 
 from pointideal.poly import lex_key
 
-from reference import evaluate, reference_check_vanishing, reference_mul, reference_normal_form
+from reference import (
+    evaluate,
+    is_canonical,
+    reference_check_vanishing,
+    reference_mul,
+    reference_normal_form,
+)
 from strategies import monic_bases, polynomials, rationals
 
 F2 = PrimeField(2)
@@ -43,18 +48,6 @@ F5 = PrimeField(5)
 F7919 = PrimeField(7919)
 F61 = PrimeField(2**61 - 1)
 FIELDS = st.sampled_from([F2, F7919, F61, QQ])
-
-
-def is_canonical(field, c) -> bool:
-    """c is a canonical scalar: a Fraction in lowest terms with a
-    positive denominator, or an int in range(p)."""
-    if field == QQ:
-        return (
-            isinstance(c, Fraction)
-            and c.denominator > 0
-            and gcd(c.numerator, c.denominator) == 1
-        )
-    return isinstance(c, int) and 0 <= c < field.p
 
 
 def stored_canonical(f: Polynomial) -> bool:
@@ -208,6 +201,28 @@ def word_size_pointsets(draw):
 @given(word_size_pointsets())
 @settings(max_examples=80, deadline=None)
 def test_engines_agree_over_the_word_size_prime(ps):
+    gb = staircase_gb(ps)
+    assert gb == bm_gb(ps)
+    assert verify_basis(gb, ps).overall
+    assert all(stored_canonical(f) for f in gb.elements)
+
+
+@st.composite
+def wide_pointsets(draw):
+    """Points of QQ^n, n <= 3, with coordinates whose denominators reach
+    10^6 (`wide_rationals`).  Each coordinate is drawn often from a few
+    values shared by the points, so that the engine lifts levels at every
+    depth, not only the one-point and one-slice closed forms."""
+    n = draw(st.integers(1, 3))
+    shared = draw(st.lists(wide_rationals(), min_size=1, max_size=3))
+    coord = st.one_of(st.sampled_from(shared), wide_rationals())
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=8, unique=True))
+    return PointSet(QQ, n, pts)
+
+
+@given(wide_pointsets())
+@settings(max_examples=60, deadline=None)
+def test_engines_agree_on_wide_rational_denominators(ps):
     gb = staircase_gb(ps)
     assert gb == bm_gb(ps)
     assert verify_basis(gb, ps).overall

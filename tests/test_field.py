@@ -39,6 +39,16 @@ class TestParse:
             x = F7.parse(text)
             assert F7.parse(F7.format(x)) == x
 
+    def test_any_number_of_digits(self):
+        """Past Python's 4,300-digit int/str limit."""
+        big = "1" + "0" * 4399 + "1"
+        assert F7.parse(big) == (10**4400 + 1) % 7
+        x = QQ.parse(f"-{big}/3")
+        assert x == Fraction(-(10**4400 + 1), 3)
+        assert QQ.format(x) == f"-{big}/3"
+        assert QQ.format(Fraction(1, 10**5000)) == "1/1" + "0" * 5000
+        assert QQ.format(-x * 3) == big
+
     @given(rationals(max_den=40))
     def test_roundtrip_rational(self, x):
         assert QQ.parse(QQ.format(x)) == x

@@ -5,8 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pointideal import Polynomial, QQ, char_poly, char_poly_family, univariate_vanishing
+from pointideal.interp import vanishing_coeffs
 
-from reference import evaluate, poly_add
+from reference import evaluate, is_canonical, poly_add, reference_mul
 from strategies import F13
 
 
@@ -19,6 +20,23 @@ distinct_rationals = st.lists(
     st.integers(-20, 20).map(F), min_size=1, max_size=6, unique=True
 )
 distinct_residues = st.lists(st.integers(0, 12), min_size=1, max_size=6, unique=True)
+
+# Denominators up to 10^6: the pairwise-coprime 999983, 999979, 10^6 and
+# 999999 (two primes and two consecutive ints, coprime to both), any
+# other, or none (0 and the integers); numerators of either sign.
+wide_distinct_rationals = st.lists(
+    st.one_of(
+        st.just(F(0)),
+        st.builds(
+            F,
+            st.integers(-(10**6), 10**6),
+            st.one_of(st.sampled_from([999983, 999979, 10**6, 999999]), st.integers(1, 10**6)),
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+    unique=True,
+)
 
 
 class TestCharPoly:
@@ -72,6 +90,18 @@ class TestCharPoly:
             assert upoly(family[a], QQ) == char_poly(QQ, values, a)
             assert len(family[a]) == len(values)
 
+    @given(wide_distinct_rationals)
+    def test_family_agrees_on_wide_denominators(self, values):
+        """Each node's own denominator is cleared; the result is the
+        direct `Fraction` product, coefficient for coefficient, and every
+        coefficient is canonical."""
+        family = char_poly_family(QQ, values)
+        assert list(family) == values
+        for a in values:
+            assert len(family[a]) == len(values)
+            assert all(is_canonical(QQ, c) for c in family[a])
+            assert upoly(family[a]) == char_poly(QQ, values, a)
+
     @given(distinct_residues)
     def test_family_agrees_mod_p(self, values):
         family = char_poly_family(F13, values)
@@ -90,6 +120,17 @@ class TestVanishing:
 
     def test_empty(self):
         assert univariate_vanishing(QQ, []) == upoly([F(1)])
+
+    @given(wide_distinct_rationals)
+    def test_wide_denominators_match_the_reference_product(self, values):
+        expected = upoly([F(1)])
+        for a in values:
+            expected = reference_mul(expected, upoly([-a, F(1)]))
+        coeffs = vanishing_coeffs(QQ, values)
+        assert len(coeffs) == len(values) + 1
+        assert all(is_canonical(QQ, c) for c in coeffs)
+        assert upoly(coeffs) == expected
+        assert univariate_vanishing(QQ, values) == expected
 
     @given(distinct_rationals)
     def test_roots_exactly(self, values):

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 from hypothesis import given, settings
 
-from pointideal import bm_gb, staircase_gb
+from pointideal import PointSet, QQ, bm_gb, staircase_gb
 from pointideal.io import (
     basis_from_dict,
     basis_to_dict,
@@ -23,3 +24,15 @@ def test_round_trips_to_identical_bytes(ps):
         text = canonical_dumps(basis_to_dict(gb))
         again = basis_from_dict(json.loads(text), ps.field)
         assert canonical_dumps(basis_to_dict(again)) == text
+
+
+def test_a_coefficient_of_5000_digits_round_trips():
+    """Past Python's 4,300-digit int/str limit: the basis of the points 0
+    and a of QQ is X1^2 - a X1, with a's numerator of 5,000 digits."""
+    a = Fraction(10**4999 + 7, 3)
+    gb = staircase_gb(PointSet(QQ, 1, [(Fraction(0),), (a,)]))
+    text = canonical_dumps(basis_to_dict(gb))
+    assert '{"coeff":"-1' + "0" * 4998 + '7/3","exp":[1]}' in text
+    again = basis_from_dict(json.loads(text), QQ)
+    assert again == gb
+    assert canonical_dumps(basis_to_dict(again)) == text
