@@ -8,10 +8,11 @@ all accepted, so its row is one accepted row times a coordinate column
 (`poly.monomial_row`).  The echelon is kept as a factorization: each
 stored row remembers the multipliers its own reduction used, and the
 rank tests touch point values only.  The rows are kept in the field's
-row form (see `field`): over F_p each row is one int with a slot per
-point and a stored row is kept negated, so an update is one big-int
-multiply-add; over the rationals rows are lists, and an update touches
-the entries from the stored row's pivot on.  A candidate whose row stays
+row form (see `field`), which the certificate's vanishing check shares:
+over F_p each row is one int with a slot per point, so an update is one
+big-int multiply-add; over the rationals a row is a list of ints over
+one common denominator, and an update touches the entries from the
+stored row's pivot on.  A candidate whose row stays
 independent joins the staircase; one whose row reduces to zero is a
 corner, and one backward sweep over the recorded multipliers turns its
 multipliers into the combination of accepted monomials that vanishes
@@ -33,7 +34,9 @@ from .staircase import Staircase
 class _Echelon:
     """Incremental row echelon form of monomial rows over `width` points,
     kept as a factorization, with its rows in the field's row form
-    (`field._rows`: packed ints over F_p, lists over the rationals).
+    (`field._rows`: packed ints over F_p, lists of ints over one
+    denominator over the rationals), sized for one update per stored
+    row, at most `width`.
 
     Let m_r be the monomial row of the r-th accepted monomial, counted
     from 0 in order of acceptance.  Its reduction subtracts c_{r,i}
@@ -53,7 +56,7 @@ class _Echelon:
 
     def __init__(self, field, width: int):
         self.field = field
-        self.form = field._rows(width)
+        self.form = field._rows(width, width)
         self.rows: list[tuple[int, int, object]] = []  # (pivot, r, stored row r), sorted by pivot
         self.inverses: list = []
         self.multipliers: list[list] = []

@@ -18,9 +18,9 @@ values as they are.
 
 **The raw form.**  Over the rationals every native operation on
 `Fraction` values reduces its result by a gcd, so a raw `Fraction` saves
-nothing.  The two kernels that fold many products into each value, the
-division (`poly.Reducer`) and the vanishing sums (`verify`), hold the
-field's raw form instead, ``field._raw()``:
+nothing.  The division (`poly.Reducer`), which folds many products into
+each value of its work dict, holds the field's raw form instead,
+``field._raw()``:
 
 - over F_p a raw value is the int of the scalar contract, a term of an
   element's tail is ``(t, c)``, and `read` is `normalize`;
@@ -36,17 +36,17 @@ field's raw form instead, ``field._raw()``:
 Integer arithmetic is exact, so a pair stands for the same rational as
 the `Fraction` that the same native operations would build, and one
 gcd where it is read gives that `Fraction`'s numerator and denominator.
-A kernel reads a value before its zero test and before it feeds more
-products, which keeps the factors of every product reduced, and stores
-``scalar(read(x))``: the int itself, or ``Fraction(n, d)``.  A kernel
-calls its raw form once per division step (`fold`) or once per term row
-of a sum (`add_row`), never once per term update.
+The division reads a value before its zero test and before it feeds
+more products, which keeps the factors of every product reduced, and
+stores ``scalar(read(x))``: the int itself, or ``Fraction(n, d)``.  It
+calls its raw form once per division step (`fold`), never once per
+term update.
 
 A field object supplies only what native operators cannot:
 
 - `normalize` and `inv`;
 - the row kernels `vec_scale`, which returns a canonical list, and
-  `vec_sub_scaled`, the echelon update on the field's row form below;
+  `vec_sub_scaled`, the one update of the row form below;
 - its raw form above (`_raw`) and its row form below (`_rows`);
 - the univariate kernels of `interp`, one node at a time:
   `_times_linear` multiplies the master product by a node's linear
@@ -60,25 +60,49 @@ A field object supplies only what native operators cannot:
 - `zero` and `one`, `coerce` (a Python value to a canonical scalar),
   `parse` and `format` (text), and `is_negative` (the sign printed).
 
-**The row form.**  The Buchberger-Moller echelon reduces rows of values
-at `width` points; ``field._rows(width)`` gives the form it keeps them
-in, with `pack`, `entry`, `unpack` and `store`, and `vec_sub_scaled`
-updates a row in that form.  Over the rationals a row is a list, and a
-stored row is the list of its entries from its pivot on, which the
-kernel lines up with the end of the row it updates.  Over F_p a row is
-one Python int with a slot of w bits per point, point j in bits
-w*j .. w*j + w - 1, where w is one more than the bit length of
-(p - 1) + width * (p - 1)^2.  A stored row is kept negated: its slot
-holds the canonical residue of -y for its entry y, so every slot lies
-in range(p), and the slots before its pivot are 0.  Then
-``vec_sub_scaled(row, c, stored)`` is ``row + c * stored``, one big-int
-multiply-add: every slot gains c * (-y), which is x - c * y modulo p,
-and no subtraction can borrow across slots.  A packed candidate starts
-with canonical slots, below p, and a reduction updates it at most once
-per stored row, at most `width` times, each time by a canonical c times
-a slot below p; so a slot never exceeds (p - 1) + width * (p - 1)^2 and
-never carries into the next.  An entry is read as its slot modulo p,
-and `unpack` reads them all.
+**The row form.**  A row is a list of values at `width` points, such as
+a monomial row (`poly.monomial_row`), and two jobs sum multiples of
+rows: the Buchberger-Moller echelon (`bm`) and the certificate's
+vanishing check (`verify`).  Both hold their rows in one form,
+``field._rows(width, updates)``, with `pack`, `entry`, `unpack` and
+`store`, and update them by one kernel,
+``vec_sub_scaled(row, c, stored)``, which is row - c * stored.  A
+stored row is `store`'s: the reduced values from a pivot on, scaled to
+1 there, canonical like every packed value; `pack` takes a row of
+canonical values as it stands.  `entry` and `unpack` read a row's
+values as canonical scalars.
+
+Over F_p a row is one Python int with a slot of w bits per point,
+point j in bits w*j .. w*j + w - 1, and a stored row has 0 in the
+slots before its pivot.  The kernel is ``row + ((-c) % p) * stored``,
+one big-int multiply-add: every slot gains the canonical residue of -c
+times y, which is x - c * y modulo p, and since nothing is subtracted
+no slot can borrow from the next.  The residue of -c, not p - c, keeps
+c = 0 from adding anything.  A packed row starts with slots below p and
+each update adds at most (p - 1)^2 to a slot, so after at most
+`updates` updates a slot holds at most (p - 1) + updates * (p - 1)^2;
+w is one more than that bound's bit length, so no slot carries into
+the next.  The echelon updates a candidate at most once per stored row,
+so it passes its `width`; the vanishing check updates a sum once per
+term of an element, so it passes the most terms of an element, which
+may far exceed the number of points.  An entry is read as its slot
+modulo p.
+
+Over the rationals a row is a pair ``(numerators, d)``: a list of ints
+and one int d > 0, standing for the values n / d.  `pack` takes d as
+the lcm of the values' denominators, and a stored row is the packed
+list of its values from its pivot on, which the kernel lines up with
+the end of the row it updates.  For c = cn / cd and a stored row
+(ys, yd), let h = gcd(cn, yd), so that c * y = (cn / h) * y' / yd' for
+each stored y = y' / yd, with yd' = cd * (yd / h); let g = gcd(d, yd'),
+a = yd' / g and b = (cn / h) * (d / g).  The update is every x of the
+row times a, less b * y' where a stored y lines up, over d * a = the
+lcm of d and yd'.  So d stays the lcm of the denominators that touched
+the row, after the factor h that c's numerator cancels, and no gcd is
+taken per entry: a value is reduced once, where `entry` or `unpack`
+reads it as a `Fraction`.  The raw form's pairs, one denominator per
+entry, would multiply the denominators entry by entry instead, and
+reducing each pair at every update would cost a gcd per entry.
 
 Scalar grammar: ``int := ['-'] digit+`` and, for the rationals only,
 ``rational := int ['/' digit+]``, where a digit is one of the ASCII
@@ -94,7 +118,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from heapq import heappush
-from math import gcd
+from math import gcd, lcm
 
 _INT_RE = re.compile(r"-?[0-9]+")
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -193,12 +217,17 @@ class RationalField:
         return [c * x for x in row]
 
     def vec_sub_scaled(self, row, c, other):
-        """row - c * other, elementwise, where `other` lines up with the
-        end of `row`: the entries of `row` before it are kept, and `row`
-        is updated in place and returned."""
-        k = len(row) - len(other)
-        row[k:] = [x - c * y for x, y in zip(row[k:], other)]
-        return row
+        """row - c * other on rows of the row form, where `other` lines up
+        with the end of `row`, over the lcm of the row's denominator and
+        that of c times `other`, once c's numerator has cancelled what it
+        shares with `other`'s denominator (see the module docstring)."""
+        (xs, d), (ys, yd), cn = row, other, c.numerator
+        h = gcd(cn, yd)
+        yd = yd // h * c.denominator
+        g = gcd(d, yd)
+        a, b = yd // g, cn // h * (d // g)
+        k = len(xs) - len(ys)
+        return [x * a for x in xs[:k]] + [x * a - b * y for x, y in zip(xs[k:], ys)], d * a
 
     def _times_linear(self, coeffs: list, a: Fraction) -> list:
         """coeffs * (d X - n) for a = n / d, dense ascending-degree lists
@@ -227,8 +256,8 @@ class RationalField:
         scale = power // d
         return [Fraction(q * scale, h) for q in reversed(descending)]
 
-    def _rows(self, width: int) -> "_ListRows":
-        return _ListRows(self)
+    def _rows(self, width: int, updates: int) -> "_ScaledRows":
+        return _ScaledRows()
 
     def _raw(self) -> "_PairRaw":
         return _PairRaw()
@@ -291,9 +320,9 @@ class PrimeField:
         return [c * x % p for x in row]
 
     def vec_sub_scaled(self, row, c, other):
-        """row - c * other on packed rows, where `other` is stored
-        negated (see the row form in the module docstring)."""
-        return row + c * other
+        """row - c * other on packed rows, one multiply-add (see the row
+        form in the module docstring)."""
+        return row + ((-c) % self.p) * other
 
     def _times_linear(self, coeffs: list, a: int) -> list:
         """coeffs * (X - a), dense ascending-degree lists: coefficient k
@@ -321,8 +350,8 @@ class PrimeField:
             acc = norm(c + a * acc)  # after the last step, the remainder 0
         return self.vec_scale(self.inv(denom), descending[::-1])
 
-    def _rows(self, width: int) -> "_PackedRows":
-        return _PackedRows(self, width)
+    def _rows(self, width: int, updates: int) -> "_PackedRows":
+        return _PackedRows(self, width, updates)
 
     def _raw(self) -> "_ResidueRaw":
         return _ResidueRaw(self)
@@ -337,43 +366,42 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-class _ListRows:
-    """The rationals' row form: a row is a list of scalars, a stored row
-    the list of its entries from its pivot on."""
+class _ScaledRows:
+    """The rationals' row form: a row is a list of ints over one common
+    denominator (see the module docstring)."""
 
-    __slots__ = ("field",)
+    __slots__ = ()
 
-    def __init__(self, field: RationalField):
-        self.field = field
+    def pack(self, values: list) -> tuple[list, int]:
+        """The numerators of the values over the lcm of their
+        denominators, and that lcm."""
+        d = lcm(*(v.denominator for v in values))
+        return [v.numerator * (d // v.denominator) for v in values], d
 
-    def pack(self, values: list) -> list:
-        """A row of the values, copied, since the echelon updates it in
-        place."""
-        return values[:]
+    def entry(self, row: tuple[list, int], j: int) -> Fraction:
+        return Fraction(row[0][j], row[1])
 
-    def entry(self, row: list, j: int):
-        return row[j]
+    def unpack(self, row: tuple[list, int]) -> list:
+        xs, d = row
+        return [Fraction(x, d) for x in xs]
 
-    def unpack(self, row: list) -> list:
-        return row
-
-    def store(self, values: list, pivot: int, inv) -> list:
+    def store(self, values: list, pivot: int, inv: Fraction) -> tuple[list, int]:
         """The stored row of reduced values with the given pivot, scaled
-        by `inv` to 1 there."""
-        return self.field.vec_scale(inv, values[pivot:])
+        by `inv` to 1 there: their packed list from the pivot on."""
+        return self.pack([inv * v for v in values[pivot:]])
 
 
 class _PackedRows:
-    """F_p's row form over `width` points: a row is one int with a slot
-    of `slot` bits per point, a stored row the same, negated (see the
+    """F_p's row form over `width` points, sized for `updates` updates of
+    a row: a row is one int with a slot of `slot` bits per point (see the
     module docstring)."""
 
     __slots__ = ("field", "p", "slot", "mask", "shifts")
 
-    def __init__(self, field: PrimeField, width: int):
+    def __init__(self, field: PrimeField, width: int, updates: int):
         p = field.p
         self.field, self.p = field, p
-        self.slot = ((p - 1) + width * (p - 1) ** 2).bit_length() + 1
+        self.slot = ((p - 1) + updates * (p - 1) ** 2).bit_length() + 1
         self.mask = (1 << self.slot) - 1
         self.shifts = range(0, width * self.slot, self.slot)
 
@@ -394,10 +422,8 @@ class _PackedRows:
 
     def store(self, values: list, pivot: int, inv: int) -> int:
         """The stored row of reduced values with the given pivot, scaled
-        by `inv` to 1 there and negated: slots before the pivot are 0,
-        and the others hold the canonical residue of -inv * y."""
-        negated = self.field.vec_scale(self.p - inv, values[pivot:])
-        return self.pack(negated) << self.shifts[pivot]
+        by `inv` to 1 there: slots before the pivot are 0."""
+        return self.pack(self.field.vec_scale(inv, values[pivot:])) << self.shifts[pivot]
 
 
 class _ResidueRaw:
@@ -437,11 +463,6 @@ class _ResidueRaw:
                 heappush(heap, -t)
             else:
                 work[t] = old - c * tc
-
-    @staticmethod
-    def add_row(sums: list, c, row: list) -> list:
-        """sums + c * row, pointwise."""
-        return [v + c * r for v, r in zip(sums, row)]
 
 
 class _PairRaw:
@@ -491,16 +512,6 @@ class _PairRaw:
             else:
                 on, od = old
                 work[t] = (on + n, d) if od == d else (on * d + n * od, od * d)
-
-    @staticmethod
-    def add_row(sums: list, c: Fraction, row: list) -> list:
-        """sums + c * row, pointwise, on pairs."""
-        cn, cd = c.numerator, c.denominator
-        out = []
-        for (vn, vd), (rn, rd) in zip(sums, row):
-            d = cd * rd
-            out.append((vn + cn * rn, d) if vd == d else (vn * d + cn * rn * vd, vd * d))
-        return out
 
 
 QQ = RationalField()

@@ -10,7 +10,8 @@ always stored canonical: the public constructor coerces each one, and
 the internal constructions compute with native operators and
 `field.normalize` -- the product holds raw sums while it works and
 normalizes each coefficient once, before it is stored, and the division
-does the same in the field's raw form (`field._raw`).
+does the same in the field's raw form (`field._raw`), which serves the
+division only.
 Terms are stored with no zero coefficients and no duplicate exponents,
 ordered descending, so the leading term is always the first one.  The
 arithmetic is what the engines need: product, negation, S-polynomial

@@ -12,13 +12,13 @@ equality.
 
 **Vanishing.**  Each element is evaluated at all points at once, as the
 sum of its coefficients times monomial rows (`poly.monomial_row`).  The
-sums are held in the field's raw form (see `field`): each term adds the
-product c * r of two canonical scalars to a point's value, one
-`add_row` call per term, and each value is read once, before its zero
-test.  On F_p a value stays at most the element's term count times p^2.
-On the rationals a value is a pair of ints, each row is split into its
-numerators and denominators once per exponent, and a value that
-vanishes is never reduced: its zero test is its numerator.
+rows and the sums are held in the field's row form (see `field`), the
+one the Buchberger-Moller echelon keeps: each monomial row is packed
+once, each term is one `vec_sub_scaled` call that subtracts -c times the
+term's row, and each value is read once, by `unpack`, before its zero
+test.  On F_p a sum is one int with a slot per point, sized for the
+most terms of an element, which may exceed the number of points; on
+the rationals it is a list of ints over one common denominator.
 
 **Which S-pairs.**  Let L_1, ..., L_c be the distinct leading
 exponents, m_ij = lcm(L_i, L_j), and sigma_ij = (m_ij / L_i) e_i -
@@ -121,30 +121,31 @@ def check_vanishing(gb: GroebnerBasis, ps: PointSet) -> CheckResult:
     """Every element evaluates to zero at every point.
 
     Each element is evaluated at all points at once, as the sum of its
-    coefficients times monomial rows (`poly.monomial_row`), held raw and
-    read once per value (see the module docstring); one row cache, with
-    each row's raw form beside it, serves every element, so under
-    `verify_basis` at most |D| + #corners rows are built, D the
-    staircase.  Elements are tried
-    in order and, for each, the points in order, so the witness is the
-    first failing (element, point) pair."""
+    coefficients times monomial rows (`poly.monomial_row`), in the
+    field's row form and read once per value (see the module docstring).
+    One row cache serves every element, with each row's packed form
+    beside it, so under `verify_basis` at most |D| + #corners rows are
+    built, D the staircase.  Elements are tried in order and, for each,
+    the points in order, so the witness is the first failing (element,
+    point) pair."""
     _check_compatible(gb, ps)
     fld, points = ps.field, ps.points
-    raw = fld._raw()
+    form = fld._rows(len(points), max((len(f.terms) for f in gb.elements), default=0))
+    norm, update, zeros = fld.normalize, fld.vec_sub_scaled, form.pack([fld.zero] * len(points))
     rows: dict = {}
-    raw_rows: dict = {}
+    packed: dict = {}
     for f in gb.elements:
-        values = raw.row([fld.zero] * len(points))
+        values = zeros
         for e, c in f.terms.items():
-            row = raw_rows.get(e)
+            row = packed.get(e)
             if row is None:
-                row = raw_rows[e] = raw.row(monomial_row(fld, points, e, rows))
-            values = raw.add_row(values, c, row)
-        for pt, value in zip(points, map(raw.read, values)):
+                row = packed[e] = form.pack(monomial_row(fld, points, e, rows))
+            values = update(values, norm(-c), row)
+        for pt, value in zip(points, form.unpack(values)):
             if value:
                 witness = (
                     f"element with leading exponent {f.leading_exponent()} "
-                    f"evaluates to {fld.format(raw.scalar(value))} at {format_point(fld, pt)}"
+                    f"evaluates to {fld.format(value)} at {format_point(fld, pt)}"
                 )
                 return CheckResult("vanishing", False, witness)
     return CheckResult("vanishing", True)

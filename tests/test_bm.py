@@ -77,7 +77,7 @@ def test_the_row_kernel_is_handed_point_values_only(monkeypatch):
     n_points = 24
     field = PrimeField(7919)
     ps = random_pointset(SplitMix64(1), field, 2, n_points)
-    bound = 1 << (n_points * field._rows(n_points).slot)
+    bound = 1 << (n_points * field._rows(n_points, n_points).slot)
     handed, stored_counts, pivots = [], [], []
     kernel, reduce, insert = PrimeField.vec_sub_scaled, bm._Echelon.reduce, bm._Echelon.insert
 

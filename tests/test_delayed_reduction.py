@@ -10,6 +10,7 @@ compares stored values as they are, so an unreduced coefficient fails
 the comparisons.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from pointideal import (
     Polynomial,
     PrimeField,
     QQ,
+    Staircase,
     bm_gb,
     char_poly,
     char_poly_family,
@@ -32,6 +34,8 @@ from pointideal import (
     verify_basis,
 )
 
+from pointideal.cli import main
+from pointideal.io import basis_to_dict, pointset_to_dict
 from pointideal.poly import lex_key
 
 from reference import (
@@ -233,20 +237,20 @@ class CheckedField(PrimeField):
     """F_p that checks the delayed-reduction contract of `field`: every
     scalar handed to `inv`, to `format` or to a row kernel (`vec_scale`,
     `vec_sub_scaled`) is canonical, every slot of a stored packed row
-    handed to `vec_sub_scaled` holds a canonical value, and every raw
-    value handed to `normalize` is below `products` * p^2, a sum of at
-    most `products` products of canonical scalars; `products` is 2^12
-    unless a test sets a tighter bound.  A Horner step held raw would
+    handed to `vec_sub_scaled` holds a canonical value, every slot of
+    the row it returns stays below 2^(slot - 1), the bound the slot
+    width is sized for, with no bit above the last slot, and every raw
+    value handed to `normalize` is below 2^12 * p^2, a sum of at most
+    2^12 products of canonical scalars.  A Horner step held raw would
     grow by a field width per step and break the bound.  Native
     ``+ - *`` cannot be checked on plain ints; what they build is
     checked where it is read, by `normalize` here and by the
     stored-coefficient check of `checked_fill`.  The slots are read in
-    the row form of the last echelon built, which `_rows` records."""
-
-    products = 2**12
+    the row form last built, by the echelon or by the vanishing check,
+    which `_rows` records."""
 
     def normalize(self, x):
-        assert abs(x) < self.products * self.p**2, f"a raw value grew to {x.bit_length()} bits"
+        assert abs(x) < 2**12 * self.p**2, f"a raw value grew to {x.bit_length()} bits"
         return super().normalize(x)
 
     def _check(self, *scalars):
@@ -264,15 +268,18 @@ class CheckedField(PrimeField):
         self._check(c, *row)
         return super().vec_scale(c, row)
 
-    def _rows(self, width):
-        self.form = super()._rows(width)
+    def _rows(self, width, updates):
+        self.form = super()._rows(width, updates)
         return self.form
 
     def vec_sub_scaled(self, row, c, other):
-        slot, mask = self.form.slot, self.form.mask
-        self._check(c, *((other >> s) & mask for s in self.form.shifts))
-        assert other >> (len(self.form.shifts) * slot) == 0, "a stored row has extra slots"
-        return super().vec_sub_scaled(row, c, other)
+        slot, mask, shifts = self.form.slot, self.form.mask, self.form.shifts
+        self._check(c, *((other >> s) & mask for s in shifts))
+        assert other >> (len(shifts) * slot) == 0, "a stored row has extra slots"
+        row = super().vec_sub_scaled(row, c, other)
+        assert all((row >> s) & mask < 1 << (slot - 1) for s in shifts), "a slot outgrew its bound"
+        assert row >> (len(shifts) * slot) == 0, "a slot carried past the last one"
+        return row
 
 
 CHECKED = CheckedField(7919)
@@ -308,12 +315,12 @@ def test_raw_values_stay_bounded_and_only_canonical_ones_are_stored(ps):
 
 @given(checked_pointsets(), st.data())
 @settings(max_examples=120, deadline=None)
-def test_the_vanishing_check_normalizes_each_value_once(ps, data):
-    """`check_vanishing` adds one raw product of canonical scalars per
-    term to each point's value and normalizes the value once, so what it
-    hands `normalize` stays below (the most terms of an element) * p^2;
-    the monomial rows it builds hand over single products.  Checked on
-    the engine's basis and on a copy with one coefficient changed, whose
+def test_the_vanishing_sums_stay_within_their_slots(ps, data):
+    """`check_vanishing` adds one product of canonical scalars per term
+    to each point's slot, so every slot of every sum it builds stays
+    below the bound its slot width is sized for, with no carry past the
+    last slot (checked by `CheckedField.vec_sub_scaled`).  Checked on the
+    engine's basis and on a copy with one coefficient changed, whose
     verdict and witness (a canonical value) must be the reference's."""
     gb = staircase_gb(ps)
     elements = list(gb.elements)
@@ -325,7 +332,35 @@ def test_the_vanishing_check_normalizes_each_value_once(ps, data):
         assume(terms[e] or len(terms) > 1)
         elements[i] = Polynomial(CHECKED, ps.n, terms)
     basis = GroebnerBasis(gb.staircase, tuple(elements))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(CheckedField, "products", max(len(f.terms) for f in elements))
-        ours = check_vanishing(basis, ps)
-    assert ours == reference_check_vanishing(basis, ps)
+    assert check_vanishing(basis, ps) == reference_check_vanishing(basis, ps)
+
+
+@pytest.mark.parametrize("p", [5, 2**64 - 59])
+def test_vanishing_slots_are_sized_by_terms_not_points(p, tmp_path, capsys):
+    """One point, p - 1, and a basis with the staircase {1, ..., X1^49}
+    and the one element X1^50 + sum of (-1)^k X1^k, k < 50: the shape
+    passes and the dimension fails, so the vanishing check sums 51
+    terms at one point, and each odd k adds (p - 1)^2 to the point's
+    slot.  The value is 51 modulo p; `check_vanishing` and the CLI's
+    `check` both report the reference's witness."""
+    f = PrimeField(p)
+    ps = PointSet(f, 1, [(p - 1,)])
+    terms = {(50,): 1, **{(k,): f.coerce((-1) ** k) for k in range(50)}}
+    gb = GroebnerBasis(Staircase(1, [(k,) for k in range(50)]), (Polynomial(f, 1, terms),))
+    expected = reference_check_vanishing(gb, ps)
+    assert expected.witness == (
+        f"element with leading exponent (50,) evaluates to {51 % p} at ({p - 1},)"
+    )
+    assert check_vanishing(gb, ps) == expected
+    points, basis = tmp_path / "points.json", tmp_path / "basis.json"
+    points.write_text(json.dumps(pointset_to_dict(ps)), encoding="utf-8")
+    basis.write_text(json.dumps(basis_to_dict(gb)), encoding="utf-8")
+    assert main(["check", "--points", str(points), "--basis", str(basis)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"vanishing: FAIL ({expected.witness})"
+    assert out[1:] == [
+        "reduced_shape: PASS",
+        "buchberger: PASS",
+        "dimension: FAIL (quotient dimension 50 != 1 points)",
+        "overall: FAIL",
+    ]

@@ -129,7 +129,7 @@ class TestArithmetic:
         assert f.vec_scale(c, row) == [f.normalize(c * x) for x in row]
         stored = [f.zero] * pivot + other[pivot:]
         expected = [f.normalize(x - c * y) for x, y in zip(row, stored)]
-        form = f._rows(3)
+        form = f._rows(3, 1)
         updated = f.vec_sub_scaled(form.pack(row), c, form.store(other, pivot, f.one))
         assert form.unpack(updated) == expected
 
@@ -157,7 +157,7 @@ class TestPackedRows:
         width = data.draw(st.integers(1, 8))
         scalar = st.integers(0, p - 1)
         values = data.draw(st.lists(scalar, min_size=width, max_size=width))
-        form = f._rows(width)
+        form = f._rows(width, width)
         row = form.pack(values)
         for _ in range(data.draw(st.integers(0, width))):
             pivot, inv, c = (
@@ -175,21 +175,66 @@ class TestPackedRows:
     @pytest.mark.parametrize("p", PACKED_PRIMES)
     @pytest.mark.parametrize("width", [1, 2, 17])
     def test_no_slot_carries_in_the_worst_case(self, p, width):
-        """Every entry p - 1, every stored slot p - 1 (the entry 1,
-        negated) and every multiplier p - 1: after `width` updates every
-        slot holds (p - 1) + width * (p - 1)^2, the most the slot width
-        is sized for, and nothing has carried into the next slot."""
+        """Every entry p - 1, every stored slot p - 1 (stored rows hold
+        canonical values) and every multiplier 1, whose -c has the
+        residue p - 1: after `width` updates every slot holds
+        (p - 1) + width * (p - 1)^2, the most the slot width is sized
+        for, and nothing has carried into the next slot.  A multiplier
+        0 then leaves the row as it is."""
         f = PrimeField(p)
-        form = f._rows(width)
-        row, stored = form.pack([p - 1] * width), form.store([1] * width, 0, 1)
+        form = f._rows(width, width)
+        row, stored = form.pack([p - 1] * width), form.store([p - 1] * width, 0, 1)
         assert all((stored >> s) & form.mask == p - 1 for s in form.shifts)
         for _ in range(width):
-            row = f.vec_sub_scaled(row, p - 1, stored)
+            row = f.vec_sub_scaled(row, 1, stored)
         top = (p - 1) + width * (p - 1) ** 2
         assert form.slot == top.bit_length() + 1
         assert [(row >> s) & form.mask for s in form.shifts] == [top] * width
         assert row >> (width * form.slot) == 0
         assert form.unpack(row) == [f.normalize(p - 1 - width * (p - 1))] * width
+        assert f.vec_sub_scaled(row, 0, stored) == row
+
+
+# Rationals with denominators up to 10^6, drawn often from the pairwise
+# coprime 999983 and 999979 and from 10^6 and 999999, and often zero.
+WIDE = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(
+        Fraction,
+        st.integers(-(10**6), 10**6),
+        st.one_of(st.sampled_from([999983, 999979, 10**6, 999999]), st.integers(1, 10**6)),
+    ),
+)
+
+
+class TestScaledRows:
+    """The rationals' row form, a list of ints over one denominator."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_updates_match_fraction_arithmetic(self, data):
+        """A row updated against stored rows of any pivot and scale
+        reads, entry for entry, as the list updated by x - c * y in
+        `Fraction` arithmetic, after every update and when unpacked."""
+        width = data.draw(st.integers(1, 8))
+        values = data.draw(st.lists(WIDE, min_size=width, max_size=width))
+        form = QQ._rows(width, width)
+        row = form.pack(values)
+        for _ in range(data.draw(st.integers(0, 2 * width))):
+            pivot, inv, c = (
+                data.draw(st.integers(0, width - 1)),
+                data.draw(WIDE.filter(bool)),
+                data.draw(WIDE),
+            )
+            ys = data.draw(st.lists(WIDE, min_size=width, max_size=width))
+            stored = [Fraction(0)] * pivot + [inv * y for y in ys[pivot:]]
+            values = [x - c * y for x, y in zip(values, stored)]
+            row = QQ.vec_sub_scaled(row, c, form.store(ys, pivot, inv))
+            assert row[1] > 0
+            assert [form.entry(row, j) for j in range(width)] == values
+        unpacked = form.unpack(row)
+        assert unpacked == values
+        assert all(type(x) is Fraction for x in unpacked)
 
 
 @st.composite
