@@ -21,7 +21,11 @@ Division by a monic basis (`normal_form`) is the one reduction loop of
 the package, shared by the staircase engine and the certificate.  It
 runs in a `Reducer`, which holds the basis on packed exponents, one
 integer per exponent whose integer order is the lex order, and is set
-up once per basis; only the remainder goes back to tuples.
+up once per basis; only the remainder goes back to tuples.  A
+coordinate takes bitlen(B) + 1 bits, B one more than the largest
+coordinate of the basis and of the dividend; the rare division whose
+terms outgrow that widens once, in place, to the n * bitlen(B) + 1 bits
+under which no term can carry.
 """
 
 from __future__ import annotations
@@ -242,10 +246,12 @@ class Reducer:
     exponent and its packed tail, the elements sorted by packed leading
     exponent.  With field width k, the exponent e packs to the integer
     sum of e_i * 2^(k*(i-1)), so X_n sits in the high bits.  While every
-    coordinate is below 2^(k-1), the top bit of each field (the guard
-    bit) is clear and:
+    coordinate is below 2^k, no field spills into the next: integer
+    order is the lex order, so the heap holds plain ints, and
+    (e >> s) & (2^k - 1) unpacks each coordinate exactly.  While every
+    coordinate is also below 2^(k-1), the top bit of each field (the
+    guard bit) is clear and:
 
-    - integer order is the lex order, so the heap holds plain ints;
     - X^e * X^d packs to e + d, one integer addition, with no carry;
     - with G the guard bits, X^l divides X^e exactly when
       ((e | G) - l) & G == G: a field where e_i >= l_i keeps its guard
@@ -254,9 +260,30 @@ class Reducer:
 
     Only the remainder is unpacked back to tuples.
 
-    **The width never carries.**  Let B exceed every coordinate of f and
-    of every element (leading exponent and tail), and let
-    w_B(e) = sum of e_i * B^(i-1).  If t <lex l and every coordinate of t
+    **Two widths.**  Let B exceed every coordinate of f and of every
+    element (leading exponent and tail).  A reducer packs at the tight
+    width k = bitlen(B) + 1, so all of those coordinates are below
+    2^(k-1).  Every key that `reduce` puts in its working set or on its
+    heap then has every coordinate below 2^k: a step adds a tail term t
+    to e - l, where e is a term read with its guard bits clear and the
+    lead l divides e, so each coordinate of t + e - l is below
+    2^(k-1) + 2^(k-1).  No field spills, and only the divisibility test,
+    with the shift that follows it, needs the guard bits of e clear.  So
+    `reduce` tests e & G once for each nonzero term it reads, before the
+    divisor scan.  When a term crosses its guard bits (a carry, which is
+    rare), the reducer widens in place to the proved width
+    n * bitlen(B) + 1: it repacks its elements, e, and every key in the
+    working set and on the heap, each through the old (shift, mask)
+    pairs.  Both widths pack the lex order, so the map keeps the order,
+    the heap stays a heap, and the division goes on with the same terms.
+    By the proof below no term crosses a guard bit at the proved width,
+    so the check fires at most once per call.  Widths depend on B alone
+    and only grow over a reducer's life: `add` and `reduce` take B from
+    the elements and f, and repack only when the width they need exceeds
+    the one in use.  So the width needs no setting.
+
+    **The proved width never carries.**  Let w_B(e) = sum of
+    e_i * B^(i-1).  If t <lex l and every coordinate of t
     is below B, then w_B(t) < w_B(l): at the highest coordinate j where
     they differ, t_j < l_j, and the lower coordinates of t add at most
     B^(j-1) - 1 to w_B(t).  A reduction step replaces a term e, divisible
@@ -268,11 +295,9 @@ class Reducer:
     most its w_B.  Hence with k = bitlen(max(w_B(lt f), B)) + 1 every
     coordinate of every term, leading exponent and tail is below
     2^(k-1).  Since w_B(lt f) <= B^n - 1 < 2^(n * bitlen(B)), the width
-    n * bitlen(B) + 1 is at least that k.  The reducer uses this larger
-    width, which depends on B alone: `add` and `reduce` take B from the
-    elements and f, and repack only when the bit length of B grows.  So
-    the width needs no setting, only grows, and changes a few times in
-    a reducer's life.
+    n * bitlen(B) + 1 is at least that k.  The terms held before a
+    widening are those of the same division, since the steps at the
+    tight width are exact, so the bound covers them too.
 
     **Delayed reduction.**  The working set holds raw values in the
     field's raw form (see `field`), and each element's tail is kept in
@@ -323,19 +348,25 @@ class Reducer:
         shifts = self._shifts
         return lambda e: sum(map(lshift, e, shifts))
 
-    def _widen(self, width: int) -> None:
+    def _widen(self, width: int):
         """Repack every element at the larger field width: its packed
         leading exponent and its whole tail in the term form, so that no
-        term keeps an exponent packed at the old width."""
+        term keeps an exponent packed at the old width.  Returns the map
+        of a key whose coordinates are below 2^(old width) to its key at
+        the new width."""
+        old, mask = self._shifts, (1 << self._width) - 1
         self._width = width
         self._shifts, self._guard = packing(self.n, width)
         pack = self._packer()
         self._reducers = [_packed(pack, self._raw, b) for b in self.elements]
+        pairs = list(zip(old, self._shifts))
+        return lambda x: sum(((x >> s) & mask) << t for s, t in pairs)
 
     def _fit(self, bound: int) -> None:
-        """Widen to the width that coordinates below `bound` need (see
-        the class docstring), unless the width in use is already as large."""
-        width = self.n * bound.bit_length() + 1
+        """Widen to the tight width for coordinates below `bound`,
+        bitlen(bound) + 1 (see the class docstring), unless the width in
+        use is already as large."""
+        width = bound.bit_length() + 1
         if width > self._width:
             self._widen(width)
 
@@ -363,7 +394,8 @@ class Reducer:
         f._check_compatible(self.elements[0])
         if f.is_zero:
             return f
-        self._fit(max(self._bound, max(map(max, f.terms)) + 1))
+        bound = max(self._bound, max(map(max, f.terms)) + 1)
+        self._fit(bound)
         guard, reducers, shifts = self._guard, self._reducers, self._shifts
         mask = (1 << self._width) - 1
         raw = self._raw
@@ -377,6 +409,12 @@ class Reducer:
             c = read(work.pop(e))
             if not c:  # the raw contributions cancelled
                 continue
+            if e & guard:  # a coordinate reached 2^(k-1): widen to the proved width
+                repack = self._widen(self.n * bound.bit_length() + 1)
+                e, work = repack(e), {repack(x): v for x, v in work.items()}
+                heap = [-repack(-x) for x in heap]  # repack keeps the order
+                guard, reducers, shifts = self._guard, self._reducers, self._shifts
+                mask = (1 << self._width) - 1
             guarded = e | guard
             for lead, tail in reducers:
                 if (guarded - lead) & guard == guard:

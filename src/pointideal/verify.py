@@ -57,8 +57,9 @@ O(terms).  Only when the shape passes are vanishing and the S-pairs
 checked: then every exponent lies in the staircase or at a corner, so
 vanishing builds at most one row of values per cell and per corner, no
 coordinate exceeds the number of staircase cells, and the reductions
-stay bounded by the input's size: a packed coordinate takes about n
-times log2 of that number of bits (see `poly.Reducer`).  When the shape
+stay bounded by the input's size: a packed coordinate takes about log2
+of that number of bits, and n times that in a division that carries
+(see `poly.Reducer`).  When the shape
 fails, the verdict is already FAIL, and the two checks are reported as
 skipped (`passed` is None) rather than run on exponents the file may
 make arbitrarily large.

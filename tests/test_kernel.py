@@ -442,6 +442,115 @@ def test_a_coordinate_past_2_to_the_40():
     assert normal_form(xs(F13, 2, ((big, 1), 1)), reducer) == xs(F13, 2, ((big + 5, 0), 1))
 
 
+F5, WORD_PRIME = PrimeField(5), PrimeField(2**64 - 59)
+CARRY_FIELDS = [F5, QQ, WORD_PRIME]
+
+
+def substitution(field, n, a):
+    """X2 - X1^a in n variables."""
+    pad = (0,) * (n - 2)
+    return xs(field, n, ((0, 1) + pad, field.one), ((a, 0) + pad, field.normalize(-field.one)))
+
+
+# Division by [X2 - X1^9, X1^10 - 1] with B = 11, packed at 5 bits: the
+# step X2 -> X1^9 on the lead of f puts X1^18 past the guard bit, so the
+# call widens to n * 4 + 1 bits and divides X1^18 by X1^10 - 1 there.
+# In three variables, X3*X1^3, X1^5*X2 and the constant are still in the
+# working set and on the heap when X3*X1^18 crosses, with coordinates in
+# fields that move when the width grows.
+CARRIES = {
+    "alone": (2, [((9, 1), 1), ((0, 0), 2)], [((8, 0), 1), ((0, 0), 2)], 9),
+    "keys-waiting": (
+        3,
+        [((9, 1, 1), 1), ((3, 0, 1), 2), ((5, 1, 0), 3), ((0, 0, 0), 4)],
+        [((8, 0, 1), 1), ((3, 0, 1), 2), ((4, 0, 0), 3), ((0, 0, 0), 4)],
+        13,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CARRIES)
+@pytest.mark.parametrize("field", CARRY_FIELDS, ids=["F5", "QQ", "F_2^64-59"])
+def test_a_carry_widens_once_and_gives_the_reference_remainder(field, case):
+    n, f_terms, expected_terms, widened = CARRIES[case]
+    pad = (0,) * (n - 2)
+    one, minus = field.one, field.normalize(-field.one)
+    basis = [substitution(field, n, 9), xs(field, n, ((10, 0) + pad, one), ((0, 0) + pad, minus))]
+    f = xs(field, n, *((e, field.coerce(c)) for e, c in f_terms))
+    expected = [(e, field.coerce(c)) for e, c in expected_terms]
+    assert list(reference_normal_form(f, basis).terms.items()) == expected
+    reducer = Reducer(basis)
+    assert reducer._width == 5
+    assert list(normal_form(f, reducer).terms.items()) == expected
+    assert reducer._width == widened
+    assert list(normal_form(f, reducer).terms.items()) == expected
+    assert reducer._width == widened
+
+
+@st.composite
+def carry_problems(draw, field):
+    """A basis holding X2 - X1^a (a >= 2) and other elements whose leads
+    are lex-greater than X2, and an f led by X1^c * X2 * X3^q: its first
+    step puts X1^(c + a) at or past 2^bitlen(B), with B one more than the
+    largest coordinate of the basis and of f."""
+    n = draw(st.integers(2, 3))
+    a = draw(st.integers(2, 12))
+    x2 = (0, 1) + (0,) * (n - 2)
+    extra = [
+        b
+        for b in draw(monic_bases(field, n))
+        if any(b.leading_exponent()[1:]) and b.leading_exponent() != x2
+    ]
+    basis = [substitution(field, n, a), *extra]
+    b0 = max(max(map(max, b.terms)) for b in basis) + 1
+    top = 1 << draw(st.sampled_from([b0.bit_length(), b0.bit_length() + 1]))
+    c = draw(st.integers(max(top - a, b0 - 1), top - 2))
+    lead = (c, 1) + (draw(st.integers(0, 2)),) * (n - 2)
+    rest = draw(polynomials(field, n, cap=c, max_terms=6)).terms
+    terms = {e: v for e, v in rest.items() if lex_key(e) < lex_key(lead)}
+    terms[lead] = draw(nonzero_scalars(field))
+    f = Polynomial(field, n, terms)
+    bound = max(b0, max(map(max, f.terms)) + 1)
+    assert c + a >= 1 << bound.bit_length()
+    return basis, f
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F13, WORD_PRIME], ids=["QQ", "F7", "F13", "F_2^64-59"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_carry_path_matches_the_reference(field, data):
+    basis, f = data.draw(carry_problems(field))
+    reducer = Reducer(basis)
+    expected = list(reference_normal_form(f, basis).terms.items())
+    assert list(normal_form(f, reducer).terms.items()) == expected
+    assert list(normal_form(f, reducer).terms.items()) == expected
+
+
+def test_certificates_divide_at_the_tight_width_and_never_widen(monkeypatch):
+    """On the grid4 draws no S-polynomial of a certificate carries: each
+    `Reducer` stays at bitlen(B) + 1 bits a coordinate, for B one more
+    than the largest coordinate it has seen, and no call widens it."""
+    rng = SplitMix64(101)
+    draws = [random_pointset(rng, F5, 4, 36) for _ in range(4)]
+    bases = [staircase_gb(ps) for ps in draws]
+    reduce, seen, calls = Reducer.reduce, {}, []
+
+    def checked(self, f):
+        # the reducer is kept in `seen`, so its id is not reused
+        _, bound = seen.get(id(self), (self, 1))
+        bound = max(bound, self._bound, max(map(max, f.terms), default=0) + 1)
+        seen[id(self)] = self, bound
+        out = reduce(self, f)
+        calls.append(self._width == bound.bit_length() + 1)
+        return out
+
+    monkeypatch.setattr(Reducer, "reduce", checked)
+    for ps, gb in zip(draws, bases):
+        calls.clear()
+        assert verify_basis(gb, ps).overall
+        assert calls and all(calls)
+
+
 @st.composite
 def bases_in_two_orders(draw):
     field = draw(ALL_FIELDS)
