@@ -15,7 +15,7 @@ from .core import (
     staircase_gb,
 )
 from .field import PrimeField, QQ, RationalField, is_prime
-from .interp import char_poly, char_poly_family, univariate_vanishing
+from .interp import char_poly_family, univariate_vanishing
 from .poly import Polynomial, normal_form, s_polynomial
 from .staircase import NotLowerSetError, Staircase, staircase_sum
 from .verify import (
@@ -45,7 +45,6 @@ __all__ = [
     "bm_gb",
     "bm_staircase",
     "build_phi",
-    "char_poly",
     "char_poly_family",
     "check_buchberger",
     "check_dimension",

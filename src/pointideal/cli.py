@@ -19,7 +19,7 @@ from . import io
 from .bench import deterministic_payload, run_bench, run_both, table_lines
 from .bm import bm_gb
 from .core import compute_staircase, staircase_gb
-from .field import _INT_RE, PrimeField, QQ
+from .field import _INT_RE, _int, PrimeField, QQ
 from .verify import verify_basis
 
 METHODS = ("staircase", "bm", "both")
@@ -27,11 +27,13 @@ METHODS = ("staircase", "bm", "both")
 
 def _ascii_int(text: str) -> int:
     """int(text) under the scalar grammar of `field`: ASCII digits with
-    an optional '-', and surrounding spaces.  int() alone also takes
-    other scripts' digits and '_' between digits."""
-    if _INT_RE.fullmatch(text.strip()) is None:
+    an optional '-', and surrounding spaces, of any length.  int() alone
+    also takes other scripts' digits and '_' between digits, and refuses
+    more than 4,300 digits."""
+    digits = text.strip()
+    if _INT_RE.fullmatch(digits) is None:
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
+    return _int(digits)
 
 
 def _parse_field(text: str):

@@ -73,6 +73,7 @@ class DuplicatePointError(ValueError):
         )
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PointSet:
     """A finite set of pairwise-distinct points with exact coordinates.
 
@@ -80,7 +81,9 @@ class PointSet:
     input order and every downstream computation is deterministic.
     """
 
-    __slots__ = ("field", "n", "points")
+    field: object
+    n: int
+    points: tuple[tuple, ...]
 
     def __init__(self, field, n: int, points=()):
         if n < 1:
@@ -100,25 +103,11 @@ class PointSet:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "points", tuple(sorted(coerced)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PointSet is immutable")
-
     def __len__(self):
         return len(self.points)
 
     def __iter__(self):
         return iter(self.points)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PointSet)
-            and self.field == other.field
-            and self.n == other.n
-            and self.points == other.points
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.n, self.points))
 
     def __repr__(self):
         return f"PointSet(n={self.n}, {list(self.points)})"

@@ -208,7 +208,7 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return 1 / a
+        return self.one / a
 
     def is_negative(self, a) -> bool:
         return a < 0

@@ -7,7 +7,10 @@ polynomials: the monic polynomial of degree #V with root set exactly V.
 
 `vanishing_coeffs` and `char_poly_family` return dense coefficient lists,
 lowest degree first, which callers read directly; `univariate_vanishing`
-and `char_poly` return polynomials in ambient dimension 1.
+returns a polynomial in ambient dimension 1.  The tests check the family
+against `tests/reference.reference_char_poly`, which forms each
+characteristic polynomial as the product of its factors
+(X - b) / (a - b).
 
 Both lists come from the master product of the linear factors of the
 values, built once, and from one synthetic division of it per node.
@@ -55,18 +58,6 @@ def _check_distinct(values: Sequence) -> None:
         seen.add(v)
 
 
-def _from_dense(field, coeffs) -> Polynomial:
-    return Polynomial(field, 1, {(k,): c for k, c in enumerate(coeffs) if c != field.zero})
-
-
-def _mul_linear(field, coeffs, root):
-    """coeffs * (X - root), dense ascending-degree lists: coefficient k
-    of the product is coeffs[k - 1] - root * coeffs[k], one normalized
-    expression per coefficient."""
-    norm, zero = field.normalize, field.zero
-    return [norm(a - root * b) for a, b in zip([zero, *coeffs], [*coeffs, zero])]
-
-
 def _master(field, values: Sequence) -> list:
     """The master product of the linear factors of `values`, dense,
     lowest degree first: prod (X - a) over F_p, and over the rationals
@@ -86,23 +77,8 @@ def vanishing_coeffs(field, values: Sequence) -> list:
 
 def univariate_vanishing(field, values: Sequence) -> Polynomial:
     """Monic polynomial of degree #values vanishing exactly on `values`."""
-    return _from_dense(field, vanishing_coeffs(field, values))
-
-
-def char_poly(field, values: Sequence, node) -> Polynomial:
-    """Characteristic polynomial of `node` within `values`, by direct
-    product accumulation of (X - b) / (node - b) over b != node."""
-    _check_distinct(values)
-    if node not in set(values):
-        raise ValueError(f"node {node} is not among the values")
-    coeffs = [field.one]
-    denom = field.one
-    for b in values:
-        if b == node:
-            continue
-        coeffs = _mul_linear(field, coeffs, b)
-        denom = field.normalize(denom * (node - b))
-    return _from_dense(field, field.vec_scale(field.inv(denom), coeffs))
+    coeffs = vanishing_coeffs(field, values)
+    return Polynomial(field, 1, {(k,): c for k, c in enumerate(coeffs)})
 
 
 def char_poly_family(field, values: Sequence) -> dict:
@@ -112,7 +88,7 @@ def char_poly_family(field, values: Sequence) -> dict:
 
     Builds the master product once and deflates it by each node's
     linear factor with synthetic division, which is quadratic overall
-    instead of cubic.  Agrees with char_poly node for node.
+    instead of cubic.
 
     Over the rationals the node a = n / d clears its own denominator:
     the master product prod (d_b X - n_b) is integral, its quotient q by

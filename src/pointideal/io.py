@@ -163,7 +163,8 @@ def basis_from_dict(obj, field) -> GroebnerBasis:
     n = dims.pop()
     stairs = Staircase(n, cells)
     if len(stairs) < len(cells):
-        i = next(i for i, c in enumerate(cells) if c in cells[:i])
+        first: dict = {}
+        i = next(i for i, c in enumerate(cells) if first.setdefault(c, i) != i)
         raise ValueError(f"staircase[{i}]: repeats the cell {list(cells[i])}")
     if "corners" in obj:
         corners = [

@@ -31,6 +31,7 @@ under which no term can carry.
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from heapq import heappop
 from operator import add as add_, itemgetter, lshift, sub as sub_
 from typing import Mapping
@@ -96,10 +97,14 @@ def _fill(p: "Polynomial", field, n: int, terms: dict) -> None:
     object.__setattr__(p, "terms", terms)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Polynomial:
-    """Immutable sparse polynomial over an exact field."""
+    """Immutable sparse polynomial over an exact field.  Polynomials
+    compare equal by field, dimension and terms, and are not hashable."""
 
-    __slots__ = ("field", "n", "terms")
+    field: object
+    n: int
+    terms: dict[Exponent, object]
 
     def __init__(self, field, n: int, terms: Mapping[Exponent, object] | None = None):
         if n < 1:
@@ -125,9 +130,6 @@ class Polynomial:
         p = object.__new__(cls)
         _fill(p, field, n, terms if ordered else _descending(field, terms))
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def constant(cls, field, n: int, value) -> "Polynomial":
@@ -192,14 +194,8 @@ class Polynomial:
 
     # -- comparison / display ----------------------------------------------
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.field == other.field
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
+    # The terms are a mutable dict, so a polynomial is not hashable; the
+    # dataclass keeps an explicit __hash__ as it is.
     __hash__ = None
 
     def _render_term(self, exp, coeff, lead: bool) -> str:

@@ -12,6 +12,7 @@ the 1-axis" picture.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable
 
@@ -40,10 +41,14 @@ def _fill(d: "Staircase", n: int, cells: frozenset) -> None:
     object.__setattr__(d, "_corners", None)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Staircase:
-    """An immutable validated lower set."""
+    """An immutable validated lower set.  Staircases compare and hash by
+    dimension and cells; the corner cache takes no part."""
 
-    __slots__ = ("n", "cells", "_corners")
+    n: int
+    cells: frozenset[Exponent]
+    _corners: frozenset[Exponent] | None = field(compare=False)
 
     def __init__(self, n: int, cells: Iterable[Exponent] = ()):
         if n < 1:
@@ -67,20 +72,11 @@ class Staircase:
         _fill(d, n, cells)
         return d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Staircase is immutable")
-
     def __len__(self):
         return len(self.cells)
 
     def __contains__(self, exp) -> bool:
         return tuple(exp) in self.cells
-
-    def __eq__(self, other):
-        return isinstance(other, Staircase) and self.n == other.n and self.cells == other.cells
-
-    def __hash__(self):
-        return hash((self.n, self.cells))
 
     def __repr__(self):
         return f"Staircase({self.n}, {self.sorted_cells()})"

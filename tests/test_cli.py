@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pointideal
 from pointideal import GroebnerBasis, Polynomial, bench, bm_gb, verify
 from pointideal.bench import fit_slope, table_lines
 from pointideal.cli import main
@@ -186,6 +191,24 @@ def test_check_rejects_wrong_corners_or_a_repeated_cell(tmp_path, capsys, edit, 
     assert main(["check", "--points", points, "--basis", basis]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
+def test_a_repeated_cell_is_found_in_linear_time(tmp_path):
+    """100,000 one-variable cells whose last cell repeats the one before:
+    `check` names it in one pass over the cells, in a fresh interpreter
+    that a quadratic search would keep past the timeout."""
+    points = write_json(tmp_path / "points.json", {
+        "field": {"type": "prime", "p": 7}, "dimension": 1, "points": [["0"]],
+    })
+    cells = [[i] for i in range(99_999)] + [[99_998]]
+    basis = write_json(tmp_path / "basis.json", {"staircase": cells, "basis": []})
+    src = str(Path(pointideal.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "pointideal", "check", "--points", points, "--basis", basis],
+        capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    assert done.stderr == "error: staircase[99999]: repeats the cell [99998]\n"
 
 
 def test_a_basis_file_without_corners_is_valid(tmp_path, capsys):
@@ -478,3 +501,10 @@ def test_bench_options_take_ascii_digits_only(capsys, option, value, reason):
         main(["bench", "--seed", "1", "--sizes", "8", "--trials", "1", option, value])
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument {option}: {reason}")
+
+
+def test_a_seed_past_the_int_str_digit_limit_exits_0(capsys):
+    """The seed follows the scalar grammar, with no bound on its digits."""
+    seed = "1" + "0" * 4400
+    assert main(["bench", "--seed", seed, "--sizes", "4", "--trials", "1"]) == 0
+    assert capsys.readouterr().err == ""

@@ -15,7 +15,6 @@ from pointideal import (
     bm_gb,
     bm_staircase,
     build_phi,
-    char_poly,
     compute_staircase,
     normal_form,
     slice_decompose,
@@ -26,7 +25,14 @@ from pointideal import core
 from pointideal.core import split_first_coordinates
 from pointideal.poly import lex_key
 
-from reference import evaluate, poly_add, poly_sub, reference_build_phi, variable
+from reference import (
+    evaluate,
+    poly_add,
+    poly_sub,
+    reference_build_phi,
+    reference_char_poly,
+    variable,
+)
 from strategies import F2, F13, grid_pointsets, pointsets, polynomials
 
 
@@ -184,7 +190,7 @@ class TestBuildPhi:
         nodes = [F(1), F(2), F(3)]
         expected = Polynomial(QQ, 2)
         for node, rep in [(F(1), g), (F(2), i), (F(3), h)]:
-            chi = {e + (0,): c for e, c in char_poly(QQ, nodes, node).terms.items()}
+            chi = {e + (0,): c for e, c in reference_char_poly(QQ, nodes, node).terms.items()}
             lifted = {(0,) + e: c for e, c in rep.terms.items()}
             expected = poly_add(expected, Polynomial(QQ, 2, chi) * Polynomial(QQ, 2, lifted))
         assert phi == expected

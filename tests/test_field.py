@@ -82,6 +82,10 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             QQ.inv(Fraction(0))
 
+    def test_rational_inverse_of_an_int_is_exact(self):
+        inverse = QQ.inv(3)
+        assert inverse == Fraction(1, 3) and type(inverse) is Fraction
+
     def test_coerce_rejects_floats(self):
         with pytest.raises(TypeError):
             QQ.coerce(0.5)

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pointideal import Polynomial, QQ, char_poly, char_poly_family, univariate_vanishing
+from pointideal import Polynomial, QQ, char_poly_family, univariate_vanishing
 from pointideal.interp import vanishing_coeffs
 
-from reference import evaluate, is_canonical, poly_add, reference_mul
+from reference import evaluate, is_canonical, poly_add, reference_char_poly, reference_mul
 from strategies import F13
 
 
@@ -39,29 +39,29 @@ wide_distinct_rationals = st.lists(
 )
 
 
+def family_polys(field, values):
+    """`char_poly_family` as univariate polynomials, keyed by node."""
+    return {a: upoly(c, field) for a, c in char_poly_family(field, values).items()}
+
+
 class TestCharPoly:
     def test_pair(self):
-        assert char_poly(QQ, [F(1), F(3)], F(1)) == upoly([F(3, 2), F(-1, 2)])
+        assert family_polys(QQ, [F(1), F(3)])[F(1)] == upoly([F(3, 2), F(-1, 2)])
 
     def test_triple(self):
-        got = char_poly(QQ, [F(1), F(2), F(3)], F(1))
+        got = family_polys(QQ, [F(1), F(2), F(3)])[F(1)]
         assert got == upoly([F(3), F(-5, 2), F(1, 2)])
 
     def test_singleton(self):
-        assert char_poly(QQ, [F(5)], F(5)) == upoly([F(1)])
-
-    def test_node_must_belong(self):
-        with pytest.raises(ValueError, match="not among"):
-            char_poly(QQ, [F(1), F(3)], F(2))
+        assert family_polys(QQ, [F(5)]) == {F(5): upoly([F(1)])}
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            char_poly(QQ, [F(1), F(1)], F(1))
+            char_poly_family(QQ, [F(1), F(1)])
 
     @given(distinct_rationals)
     def test_kronecker_property(self, values):
-        for a in values:
-            chi = char_poly(QQ, values, a)
+        for a, chi in family_polys(QQ, values).items():
             assert chi.n == 1
             for b in values:
                 expected = QQ.one if a == b else QQ.zero
@@ -69,8 +69,7 @@ class TestCharPoly:
 
     @given(distinct_residues)
     def test_kronecker_property_mod_p(self, values):
-        for a in values:
-            chi = char_poly(F13, values, a)
+        for a, chi in family_polys(F13, values).items():
             for b in values:
                 expected = F13.one if a == b else F13.zero
                 assert evaluate(chi, (b,)) == expected
@@ -78,8 +77,8 @@ class TestCharPoly:
     @given(distinct_rationals)
     def test_partition_of_unity(self, values):
         total = Polynomial(QQ, 1)
-        for a in values:
-            total = poly_add(total, char_poly(QQ, values, a))
+        for chi in family_polys(QQ, values).values():
+            total = poly_add(total, chi)
         assert total == upoly([F(1)])
 
     @given(distinct_rationals)
@@ -87,26 +86,26 @@ class TestCharPoly:
         family = char_poly_family(QQ, values)
         assert set(family) == set(values)
         for a in values:
-            assert upoly(family[a], QQ) == char_poly(QQ, values, a)
+            assert upoly(family[a], QQ) == reference_char_poly(QQ, values, a)
             assert len(family[a]) == len(values)
 
     @given(wide_distinct_rationals)
     def test_family_agrees_on_wide_denominators(self, values):
         """Each node's own denominator is cleared; the result is the
-        direct `Fraction` product, coefficient for coefficient, and every
+        reference product, coefficient for coefficient, and every
         coefficient is canonical."""
         family = char_poly_family(QQ, values)
         assert list(family) == values
         for a in values:
             assert len(family[a]) == len(values)
             assert all(is_canonical(QQ, c) for c in family[a])
-            assert upoly(family[a]) == char_poly(QQ, values, a)
+            assert upoly(family[a]) == reference_char_poly(QQ, values, a)
 
     @given(distinct_residues)
     def test_family_agrees_mod_p(self, values):
         family = char_poly_family(F13, values)
         for a in values:
-            assert upoly(family[a], F13) == char_poly(F13, values, a)
+            assert upoly(family[a], F13) == reference_char_poly(F13, values, a)
             assert len(family[a]) == len(values)
 
 
