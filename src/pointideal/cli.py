@@ -139,6 +139,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bench(args) -> int:
     settings = (args.seed, args.field, args.sizes, args.dim, args.trials)
+    if args.out:
+        # settings that JSON cannot hold fail here, before any trial runs
+        io.canonical_dumps(deterministic_payload(*settings, []))
     records = run_bench(*settings)
     for line in table_lines(records):
         print(line)
@@ -195,6 +198,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: the input needs more memory than is available", file=sys.stderr)
         return 2
 
 

@@ -184,17 +184,16 @@ def compute_staircase(ps: PointSet) -> Staircase:
     `staircase_gb` makes (see the module docstring).
 
     A leaf of m points gives {0, ..., m - 1}.  A branching node stacks
-    its children's staircases, each lifted by a leading zero coordinate,
-    along the branch axis.  Coordinates shared by a node's points put
-    zeros in front of every cell.  The size always equals the number of
-    points.
+    its children's staircases, as they are, along the branch axis.
+    Coordinates shared by a node's points put zeros in front of every
+    cell.  The size always equals the number of points.
     """
     if not ps.points:
         return Staircase(ps.n)
     return _walk(
         ps,
         lambda values: Staircase(1, {(i,) for i in range(len(values))}),
-        lambda m, slices: staircase_sum([d.prepend_zero() for _, d in slices], m),
+        lambda m, slices: staircase_sum((d for _, d in slices), m),
         lambda shared, d: _behind_zeros(d, len(shared)),
     )
 
@@ -383,7 +382,7 @@ def _lift_level(field, n: int, slice_gbs) -> GroebnerBasis:
     adds each later element to it, and keeps it to itself; a level
     where no lift strays builds none.
     """
-    stairs = staircase_sum([gb.staircase.prepend_zero() for _, gb in slice_gbs], n)
+    stairs = staircase_sum((gb.staircase for _, gb in slice_gbs), n)
     cells = stairs.cells
     finished: list[Polynomial] = []
     reducer = None

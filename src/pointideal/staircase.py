@@ -3,10 +3,9 @@
 A staircase is a finite subset D of N_0^n closed under decrementing any
 coordinate.  Its corner set consists of the minimal elements of the
 complement: exactly the exponents beta outside D such that beta - e_i
-lies in D whenever beta_i > 0.  `staircase_sum` adds a family of
-staircases by merging them column by column over the projection dropping
-the first coordinate, summing fiber sizes -- the "drop the pieces down
-the 1-axis" picture.
+lies in D whenever beta_i > 0.  `staircase_sum` stacks a family of
+staircases in n - 1 variables along a new first axis: a cell c of k
+members gives the cells (j,) + c for j < k.
 """
 
 from __future__ import annotations
@@ -113,17 +112,6 @@ class Staircase:
             raise ValueError(f"fiber index {dhat} has wrong dimension")
         return sum(1 for c in self.cells if c[1:] == dhat)
 
-    def column_counts(self) -> Counter:
-        counts: Counter = Counter()
-        for c in self.cells:
-            counts[c[1:]] += 1
-        return counts
-
-    def prepend_zero(self) -> "Staircase":
-        """Embed into one more dimension as {(0,) + d}, a lower set
-        because d is one."""
-        return Staircase._trusted(self.n + 1, frozenset((0,) + c for c in self.cells))
-
     def render(self) -> str:
         """ASCII picture for n = 2: rows are X2 descending, 'o' marks a
         cell, '*' marks a corner."""
@@ -142,25 +130,22 @@ class Staircase:
 
 
 def staircase_sum(family: Iterable[Staircase], n: int) -> Staircase:
-    """Sum of a finite family: columns over the drop-first projection are
-    stacked, the fiber size over each column being the sum of the
-    family's fiber sizes.  The empty family yields the empty staircase,
-    which is the neutral element.
+    """Stack a finite family of staircases in n - 1 variables into one in
+    n variables: (j,) + c is a cell exactly when j is below C(c), the
+    number of members that contain c.  The members are read as they are,
+    one pass over each; the empty family yields the empty staircase.
 
-    The sum is a lower set, so it is built without the constructor's
-    check.  In a lower set d the fiber over dhat is {0, ..., c_d(dhat) - 1},
-    and the column count c_d is monotone: dhat' <= dhat coordinatewise
-    gives c_d(dhat') >= c_d(dhat), since (j,) + dhat in d puts
-    (j,) + dhat' in d.  A sum of monotone counts is monotone, and the
-    cells {(j,) + dhat : j < C(dhat)} of a monotone count C are closed
-    under lowering j (j - 1 < C(dhat)) and under lowering a coordinate
-    of dhat (j < C(dhat) <= C(dhat'))."""
-    if n < 1:
-        raise ValueError("ambient dimension must be >= 1")
+    The stack is a lower set, so it is built without the constructor's
+    check.  C can only fall as c grows: c' <= c coordinatewise and c in
+    a member puts c' in it too, since each member is a lower set, so
+    C(c') >= C(c).  So the cells {(j,) + c : j < C(c)} are closed under
+    lowering j (j - 1 < C(c)) and under lowering a coordinate of c
+    (j < C(c) <= C(c'))."""
+    if n < 2:
+        raise ValueError("stacking needs dimension >= 2")
     counts: Counter = Counter()
     for d in family:
-        if d.n != n:
-            raise ValueError(f"dimension mismatch: {d.n} vs {n}")
-        counts.update(d.column_counts())
-    cells = frozenset((j,) + dhat for dhat, c in counts.items() for j in range(c))
-    return Staircase._trusted(n, cells)
+        if d.n != n - 1:
+            raise ValueError(f"dimension mismatch: {d.n} vs {n - 1}")
+        counts.update(d.cells)
+    return Staircase._trusted(n, frozenset((j,) + c for c, k in counts.items() for j in range(k)))

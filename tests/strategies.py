@@ -51,17 +51,6 @@ def staircases(draw, max_n: int = 3, cap: int = 3):
 
 
 @st.composite
-def staircase_pairs(draw, max_n: int = 3, cap: int = 3):
-    n = draw(st.integers(1, max_n))
-    gens1 = draw(st.lists(exponents(n, cap), max_size=4))
-    gens2 = draw(st.lists(exponents(n, cap), max_size=4))
-    return (
-        Staircase(n, lower_closure(gens1, n)),
-        Staircase(n, lower_closure(gens2, n)),
-    )
-
-
-@st.composite
 def staircase_families(draw, max_n: int = 3, cap: int = 3, max_size: int = 4):
     """A dimension and a list of staircases of that dimension."""
     n = draw(st.integers(1, max_n))

@@ -27,6 +27,14 @@ SHAPES = {
     "one X1 slice": PointSet(PrimeField(7), 3, [(2,) + ab for ab in product(range(3), repeat=2)]),
     "grid F_3^2": PointSet(PrimeField(3), 2, product(range(3), repeat=2)),
     "grid F_2^3": PointSet(PrimeField(2), 3, product(range(2), repeat=3)),
+    # tries several levels deep, where shared prefixes meet branching nodes
+    "100 of F_3^6": random_pointset(SplitMix64(5), PrimeField(3), 6, 100),
+    "40 of F_2^16": random_pointset(SplitMix64(5), PrimeField(2), 16, 40),
+    "200 of F_7919^3": random_pointset(SplitMix64(5), PrimeField(7919), 3, 200),
+    # the fields, dimensions and small sizes of the benchmark workloads
+    "16 of F_7919^2": random_pointset(SplitMix64(3), PrimeField(7919), 2, 16),
+    "14 of F_5^4": random_pointset(SplitMix64(3), PrimeField(5), 4, 14),
+    "10 of QQ^3": random_pointset(SplitMix64(3), QQ, 3, 10),
 }
 
 

@@ -4,9 +4,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from copy import deepcopy
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pointideal
 from pointideal import GroebnerBasis, Polynomial, bench, bm_gb, verify
@@ -508,3 +514,141 @@ def test_a_seed_past_the_int_str_digit_limit_exits_0(capsys):
     seed = "1" + "0" * 4400
     assert main(["bench", "--seed", seed, "--sizes", "4", "--trials", "1"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_a_seed_past_the_int_str_digit_limit_with_out_exits_2_before_the_table(
+    tmp_path, capsys
+):
+    """JSON cannot hold the seed, so `--out` fails before any trial runs
+    and writes no file."""
+    seed = "1" + "0" * 4400
+    out = tmp_path / "bench.json"
+    argv = ["bench", "--seed", seed, "--sizes", "4", "--trials", "1", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gb", "staircase", "compare"])
+def test_an_empty_point_file_of_huge_dimension_exits_2_with_one_line(
+    tmp_path, capsys, command
+):
+    """The zero exponent of dimension 2^62 cannot be built; CPython
+    refuses the tuple at once, before allocating."""
+    points = write_json(tmp_path / "points.json", {
+        "field": {"type": "prime", "p": 7},
+        "dimension": 2**62,
+        "points": [],
+    })
+    assert main([command, "--points", points]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the input needs more memory than is available\n"
+
+
+# JSON values of every kind: wrong types, bools, floats, unicode digits,
+# negative and huge numbers.  No dimension among them is large enough
+# to allocate: 2^64 and 10^30 fail before any tuple is built.
+MUTANTS = [
+    None, True, False, 0, -1, 1, 3, 2**64, 10**30, 0.5, 1.0, -0.0, 1e308, float("nan"),
+    "", "x", "1", "-3/4", "1/0", "\u0663", "\uff13", " 2 ", "1e3", "0x10", "1_0",
+    [], [0], [-1], [2**64], [True], ["1"], [[0, 0]], {}, {"type": "prime"},
+    {"type": "prime", "p": 4}, {"type": "rational", "p": 7},
+]
+
+
+def _nodes(obj, path=()):
+    """Every path into a JSON value, the root's included."""
+    yield path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        items = ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """doc with one to three structural edits: a node replaced by a
+    mutant, a key or an entry deleted, or an entry repeated."""
+    doc = deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_nodes(doc))))
+        kind = draw(st.sampled_from(["replace", "delete", "repeat"]))
+        mutant = deepcopy(draw(st.sampled_from(MUTANTS)))
+        if not path:
+            doc = mutant
+            continue
+        *head, key = path
+        parent = doc
+        for k in head:
+            parent = parent[k]
+        if kind == "replace":
+            parent[key] = mutant
+        elif kind == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, parent[key])
+    return doc
+
+
+def _run(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _valid_pair(points):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_json(Path(tmp) / "points.json", points)
+        code, out, _ = _run(["gb", "--points", path])
+    assert code == 0
+    return points, json.loads(out)
+
+
+VALID = [_valid_pair(QQ_POINTS), _valid_pair(POINTS)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_files_exit_2_with_one_line_or_give_output_that_parses(data):
+    """Structural mutations of valid QQ and F_7 point and basis files,
+    through every command that reads them: each exits 2 with one error
+    line, or exits 0 or 1 with output that parses."""
+    points, basis = data.draw(st.sampled_from(VALID))
+    which = data.draw(st.sampled_from(["points", "basis", "both"]))
+    if which != "basis":
+        points = data.draw(_mutated(points))
+    if which != "points":
+        basis = data.draw(_mutated(basis))
+    with tempfile.TemporaryDirectory() as tmp:
+        pts = write_json(Path(tmp) / "points.json", points)
+        gb = write_json(Path(tmp) / "basis.json", basis)
+        report = str(Path(tmp) / "report.json")
+        for argv in (
+            ["gb", "--points", pts],
+            ["staircase", "--points", pts],
+            ["compare", "--points", pts],
+            ["check", "--points", pts, "--basis", gb, "--out", report],
+        ):
+            code, out, err = _run(argv)
+            if code == 2:
+                assert out == "" and err.count("\n") == 1 and err.startswith("error: "), argv
+                continue
+            assert code in (0, 1), argv
+            if argv[0] == "gb":
+                assert code == 1 or "basis" in json.loads(out)
+            elif argv[0] == "staircase":
+                assert code == 0 and "corners" in json.loads(out)
+            elif argv[0] == "compare":
+                assert out.splitlines()[-1].startswith("bases agree") if code == 0 else err
+            else:
+                overall = json.loads(Path(report).read_text(encoding="utf-8"))["overall"]
+                assert out.splitlines()[-1] == ("overall: PASS" if code == 0 else "overall: FAIL")
+                assert overall == (code == 0)

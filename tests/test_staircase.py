@@ -2,24 +2,33 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointideal import NotLowerSetError, Staircase, staircase_sum
+from pointideal.core import _behind_zeros
 
-from strategies import staircase_families, staircase_pairs, staircases
+from strategies import staircase_families, staircases
 
 
-def brute_force_add(d1: Staircase, d2: Staircase) -> set:
+def brute_force_stack(members) -> set:
     """The defining predicate, evaluated candidate by candidate on raw
-    cell sets: keep d when its column occurs in either summand and its
-    first coordinate is below the summed fiber sizes."""
-    columns = {c[1:] for c in d1.cells} | {c[1:] for c in d2.cells}
-    height = len(d1.cells) + len(d2.cells) + 1
-    out = set()
-    for col in columns:
-        f1 = sum(1 for c in d1.cells if c[1:] == col)
-        f2 = sum(1 for c in d2.cells if c[1:] == col)
-        out |= {(j,) + col for j in range(height) if j < f1 + f2}
-    return out
+    cell sets: keep (j,) + c when j is below the number of members that
+    contain c."""
+    cells = set().union(*(d.cells for d in members))
+    height = len(members) + 1
+    return {
+        (j,) + c
+        for c in cells
+        for j in range(height)
+        if j < sum(1 for d in members if c in d.cells)
+    }
+
+
+def layers(d: Staircase) -> list:
+    """The slices of d at first coordinate 0, 1, ..., each in the other
+    n - 1 coordinates; d is their stack."""
+    height = max((c[0] for c in d.cells), default=-1) + 1
+    return [Staircase(d.n - 1, {c[1:] for c in d.cells if c[0] == i}) for i in range(height)]
 
 
 def corners_by_fiber_counts(d: Staircase) -> set:
@@ -44,10 +53,8 @@ def corners_by_fiber_counts(d: Staircase) -> set:
     return out
 
 
-def plus(d1: Staircase, d2: Staircase) -> Staircase:
-    return staircase_sum((d1, d2), d1.n)
-
-
+SEGMENT_1 = Staircase(1, {(0,)})
+SEGMENT_2 = Staircase(1, {(0,), (1,)})
 BLOCK_2X2 = Staircase(2, {(0, 0), (1, 0), (0, 1), (1, 1)})
 FIVE_CELLS = Staircase(2, {(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)})
 COLUMN = Staircase(2, {(0, 0), (0, 1)})
@@ -95,18 +102,6 @@ class TestCorners:
 
 
 class TestProjection:
-    # column_counts is the drop-first projection with the size of each
-    # column's fiber, which staircase_sum stacks
-    def test_drop_first(self):
-        assert BLOCK_2X2.column_counts() == {(0,): 2, (1,): 2}
-
-    def test_empty(self):
-        assert Staircase(2).column_counts() == {}
-
-    def test_row_collapses(self):
-        row = Staircase(2, {(0, 0), (1, 0), (2, 0)})
-        assert row.column_counts() == {(0,): 3}
-
     def test_fiber_counts(self):
         assert BLOCK_2X2.fiber_count((0,)) == 2
         assert BLOCK_2X2.fiber_count((5,)) == 0
@@ -121,25 +116,26 @@ class TestProjection:
 
 
 class TestAddition:
+    # staircase_sum stacks staircases in n - 1 variables along a new
+    # first axis
     def test_two_columns(self):
-        assert plus(COLUMN, COLUMN) == BLOCK_2X2
+        assert staircase_sum([SEGMENT_2, SEGMENT_2], 2) == BLOCK_2X2
 
     def test_left_fold_of_three_blocks(self):
-        single = Staircase(2, {(0, 0)})
-        assert plus(plus(COLUMN, single), COLUMN) == FIVE_CELLS
+        assert staircase_sum([SEGMENT_2, SEGMENT_1, SEGMENT_2], 2) == FIVE_CELLS
 
     def test_neutral_element(self):
-        assert plus(BLOCK_2X2, Staircase(2)) == BLOCK_2X2
+        assert staircase_sum([SEGMENT_2, Staircase(1), SEGMENT_2], 2) == BLOCK_2X2
 
     def test_empty_family(self):
         assert staircase_sum([], 2) == Staircase(2)
 
     def test_singleton_family(self):
-        assert staircase_sum([FIVE_CELLS], 2) == FIVE_CELLS
+        assert staircase_sum([SEGMENT_2], 2) == COLUMN
 
     def test_two_step_profiles(self):
-        # two staircases with two plateaus each; the sum's row widths are
-        # the sums of the row widths
+        # two staircases with two plateaus each; stacking the layers of
+        # both adds their row widths
         d1 = Staircase(
             2,
             {(i, j) for i in range(3) for j in range(13)}
@@ -150,8 +146,10 @@ class TestAddition:
             {(i, j) for i in range(5) for j in range(10)}
             | {(i, j) for i in range(5, 8) for j in range(6)},
         )
-        total = plus(d1, d2)
-        assert total.cells == brute_force_add(d1, d2)
+        assert staircase_sum(layers(d1), 2) == d1
+        members = layers(d1) + layers(d2)
+        total = staircase_sum(members, 2)
+        assert total.cells == brute_force_stack(members)
         widths = {j: total.fiber_count((j,)) for j in range(13)}
         expected = {j: 16 for j in range(3)}
         expected.update({j: 11 for j in range(3, 6)})
@@ -161,65 +159,55 @@ class TestAddition:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            staircase_sum([Staircase(2), Staircase(3)], 2)
+            staircase_sum([Staircase(1), Staircase(2)], 2)
+        with pytest.raises(ValueError):
+            staircase_sum([Staircase(2)], 2)
+        with pytest.raises(ValueError):
+            staircase_sum([], 1)
 
     @settings(max_examples=150)
-    @given(staircase_pairs())
-    def test_matches_brute_force(self, pair):
-        d1, d2 = pair
-        assert plus(d1, d2).cells == brute_force_add(d1, d2)
+    @given(staircase_families())
+    def test_matches_brute_force(self, family):
+        n, members = family
+        assert staircase_sum(members, n + 1).cells == brute_force_stack(members)
 
-    @given(staircase_pairs())
-    def test_commutative(self, pair):
-        d1, d2 = pair
-        assert plus(d1, d2) == plus(d2, d1)
+    @given(staircase_families(), st.randoms(use_true_random=False))
+    def test_commutative(self, family, rng):
+        n, members = family
+        shuffled = list(members)
+        rng.shuffle(shuffled)
+        assert staircase_sum(shuffled, n + 1) == staircase_sum(members, n + 1)
 
-    @settings(max_examples=60)
-    @given(staircase_pairs(), staircases(max_n=3))
-    def test_associative(self, pair, d3):
-        d1, d2 = pair
-        if d3.n != d1.n:
-            return
-        assert plus(plus(d1, d2), d3) == plus(d1, plus(d2, d3))
+    @given(staircase_families())
+    def test_cardinality_additive(self, family):
+        n, members = family
+        assert len(staircase_sum(members, n + 1)) == sum(map(len, members))
 
-    @given(staircase_pairs())
-    def test_cardinality_additive(self, pair):
-        d1, d2 = pair
-        assert len(plus(d1, d2)) == len(d1) + len(d2)
-
-    @given(staircase_pairs())
-    def test_projection_identity(self, pair):
-        d1, d2 = pair
-        if d1.n == 1:
-            return
-        left = Staircase(d1.n - 1, {c[1:] for c in plus(d1, d2).cells})
-        right = Staircase(
-            d1.n - 1, {c[1:] for c in d1.cells} | {c[1:] for c in d2.cells}
-        )
+    @given(staircase_families())
+    def test_projection_identity(self, family):
+        n, members = family
+        left = Staircase(n, {c[1:] for c in staircase_sum(members, n + 1).cells})
+        right = Staircase(n, set().union(*(d.cells for d in members)))
         assert left == right
 
-    @given(staircase_pairs())
-    def test_closure(self, pair):
-        d1, d2 = pair
+    @given(staircase_families())
+    def test_closure(self, family):
+        n, members = family
+        total = staircase_sum(members, n + 1)
         # the constructor re-validates the lower-set property
-        assert Staircase(d1.n, plus(d1, d2).cells) == plus(d1, d2)
-
-
-class TestEmbedding:
-    def test_prepend_zero(self):
-        assert COLUMN.prepend_zero() == Staircase(3, {(0, 0, 0), (0, 0, 1)})
+        assert Staircase(n + 1, total.cells) == total
 
 
 @given(staircase_families())
 def test_unvalidated_results_equal_validated_staircases(family):
-    """`prepend_zero` and `staircase_sum` build their results without
-    the lower-set check; the constructor accepts the same cells and
-    gives an equal staircase."""
+    """`staircase_sum` and `core._behind_zeros` build their results
+    without the lower-set check; the constructor accepts the same cells
+    and gives an equal staircase."""
     n, members = family
-    results = [(n, staircase_sum(members, n))]
-    results += [(n + 1, d.prepend_zero()) for d in members]
-    for dim, d in results:
-        validated = Staircase(dim, d.cells)
+    results = [staircase_sum(members, n + 1)]
+    results += [_behind_zeros(d, 1) for d in members]
+    for d in results:
+        validated = Staircase(n + 1, d.cells)
         assert d == validated and hash(d) == hash(validated)
         assert d.corners() == validated.corners()
 

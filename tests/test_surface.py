@@ -114,11 +114,9 @@ PUBLIC = {
     Staircase: (
         [
             "cells",
-            "column_counts",
             "corners",
             "fiber_count",
             "n",
-            "prepend_zero",
             "render",
             "sorted_cells",
             "sorted_corners",
