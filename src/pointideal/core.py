@@ -286,9 +286,9 @@ def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial
     which beta must be a corner.  Coefficients of the slice
     representatives are interpolated across the slices whose staircase
     misses the projected corner, with the characteristic polynomials in
-    X1 read as dense coefficient lists; the lift is then multiplied once
-    by the vanishing polynomial prod (X1 - a1) of the remaining slices,
-    whose staircase contains the projected corner.
+    X1 read as scaled dense coefficient lists; the lift is then
+    multiplied once by the vanishing polynomial prod (X1 - a1) of the
+    remaining slices, whose staircase contains the projected corner.
 
     Why the lift is right, whichever slice representatives it reads (see
     `slice_representative`).  Before the product the lift is the sum over
@@ -307,11 +307,18 @@ def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial
     the reduced element at beta, whichever representatives went in.
     `_lift_level` asserts the first two of these.
 
-    The interpolation keeps one dense column per tail exponent
-    gamma_hat of the representatives: entry k of the column is the
-    coefficient of X1^k * X^gamma_hat, summed over the slices as raw
-    products coeff * chi_k and normalized once when the column is read
-    (delayed reduction, see `field`).
+    The interpolation keeps one column per tail exponent gamma_hat of
+    the representatives, a row of the field's row form (`field._rows`)
+    with one entry per degree k < #outside: entry k is the coefficient
+    of X1^k * X^gamma_hat.  `char_poly_family` gives each outside node
+    a as a pair (q_a, s_a) with chi_a = s_a * q_a, and q_a is packed
+    once.  Each tail term coeff * X^gamma_hat of a's representative is
+    then one `vec_sub_scaled` update of its column, less -coeff * s_a
+    times q_a.  A slice updates a column at most once, so the form is
+    sized for #outside updates.  Each column is read once, by `unpack`,
+    as canonical scalars (delayed reduction, see `field`): over F_p a
+    column is one packed int, over the rationals a list of ints over
+    one denominator, so no entry is reduced by a gcd before its read.
 
     Both factors are written lex-descending, with their zero entries
     skipped, so neither is sorted.  X_n is the most significant
@@ -332,23 +339,21 @@ def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial
     inside, outside = split_first_coordinates(beta, slice_gbs)
     gb_of = dict(slice_gbs)
     chi = char_poly_family(field, outside)
-    columns: dict[Exponent, list] = {}
+    m = len(outside)
+    form = field._rows(m, m)
+    norm, update, zeros = field.normalize, field.vec_sub_scaled, form.pack([field.zero] * m)
+    columns: dict[Exponent, object] = {}
     for a1 in outside:
-        chi_a1 = chi[a1]
+        q, s = chi[a1]
+        q = form.pack(q)
         for gamma_hat, coeff in slice_representative(beta_hat, gb_of[a1]).terms.items():
-            column = columns.get(gamma_hat)
-            if column is None:
-                columns[gamma_hat] = [coeff * c for c in chi_a1]
-            else:
-                columns[gamma_hat] = [x + coeff * c for x, c in zip(column, chi_a1)]
-    norm = field.normalize
+            columns[gamma_hat] = update(columns.get(gamma_hat, zeros), norm(-coeff * s), q)
     theta_terms: dict[Exponent, object] = {(0,) + beta_hat: field.one}
     for gamma_hat in sorted(columns, key=lex_key, reverse=True):
-        column = columns[gamma_hat]
+        column = form.unpack(columns[gamma_hat])
         for k in reversed(range(len(column))):
-            c = norm(column[k])
-            if c:
-                theta_terms[(k,) + gamma_hat] = c
+            if column[k]:
+                theta_terms[(k,) + gamma_hat] = column[k]
     rest = (0,) * (n - 1)
     coeffs = vanishing_coeffs(field, inside)
     vanishing = {(k,) + rest: coeffs[k] for k in reversed(range(len(coeffs))) if coeffs[k]}

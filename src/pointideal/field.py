@@ -51,26 +51,31 @@ A field object supplies only what native operators cannot:
 - the univariate kernels of `interp`, one node at a time:
   `_times_linear` multiplies the master product by a node's linear
   factor, `_monic` reads the finished product as the monic vanishing
-  polynomial, and `_characteristic` deflates it by one node.  Over F_p
-  these are delayed-reduction loops, one `normalize` per coefficient or
-  Horner step.  Over the rationals a node a = n / d clears its own
+  polynomial, and `_characteristic` deflates it by one node, returning
+  the characteristic polynomial as a list q and a scale s with the
+  polynomial s * q.  Over F_p these are delayed-reduction loops, one
+  `normalize` per coefficient or Horner step, q is canonical and s is
+  one inverse.  Over the rationals a node a = n / d clears its own
   denominator: the product is the integral prod (d X - n), the loops
-  run on ints with exact divisions, and each coefficient returned is
-  one ``Fraction`` (`interp` gives the formulas);
+  run on ints with exact divisions, `_monic` returns one ``Fraction``
+  per coefficient, and `_characteristic` returns ints and the one
+  ``Fraction`` s (`interp` gives the formulas);
 - `zero` and `one`, `coerce` (a Python value to a canonical scalar),
   `parse` and `format` (text), and `is_negative` (the sign printed).
 
 **The row form.**  A row is a list of values at `width` points, such as
-a monomial row (`poly.monomial_row`), and two jobs sum multiples of
-rows: the Buchberger-Moller echelon (`bm`) and the certificate's
-vanishing check (`verify`).  Both hold their rows in one form,
-``field._rows(width, updates)``, with `pack`, `entry`, `unpack` and
-`store`, and update them by one kernel,
+a monomial row (`poly.monomial_row`), and three jobs sum multiples of
+rows: the Buchberger-Moller echelon (`bm`), the certificate's
+vanishing check (`verify`) and the lift's interpolation columns
+(`core.build_phi`), whose points are the degrees of X1.  All three
+hold their rows in one form, ``field._rows(width, updates)``, with
+`pack`, `entry`, `unpack` and `store`, and update them by one kernel,
 ``vec_sub_scaled(row, c, stored)``, which is row - c * stored.  A
 stored row is `store`'s: the reduced values from a pivot on, scaled to
-1 there, canonical like every packed value; `pack` takes a row of
-canonical values as it stands.  `entry` and `unpack` read a row's
-values as canonical scalars.
+1 there, canonical like every packed value.  The lift's stored rows
+are `pack`'s instead, which takes a row of canonical values as it
+stands, and on the rationals a row of ints too.  `entry` and `unpack`
+read a row's values as canonical scalars.
 
 Over F_p a row is one Python int with a slot of w bits per point,
 point j in bits w*j .. w*j + w - 1, and a stored row has 0 in the
@@ -85,8 +90,10 @@ w is one more than that bound's bit length, so no slot carries into
 the next.  The echelon updates a candidate at most once per stored row,
 so it passes its `width`; the vanishing check updates a sum once per
 term of an element, so it passes the most terms of an element, which
-may far exceed the number of points.  An entry is read as its slot
-modulo p.
+may far exceed the number of points; a lift's column has a slot per
+degree below the number m of slices it interpolates, and each slice
+updates it at most once, so it passes m as both.  An entry is read as
+its slot modulo p.
 
 Over the rationals a row is a pair ``(numerators, d)``: a list of ints
 and one int d > 0, standing for the values n / d.  `pack` takes d as
@@ -119,6 +126,7 @@ from decimal import Decimal
 from fractions import Fraction
 from heapq import heappush
 from math import gcd, lcm
+from operator import lshift
 
 _INT_RE = re.compile(r"-?[0-9]+")
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -240,13 +248,14 @@ class RationalField:
         `Fraction` per coefficient."""
         return [Fraction(c, coeffs[-1]) for c in coeffs]
 
-    def _characteristic(self, master: list, a: Fraction) -> list:
+    def _characteristic(self, master: list, a: Fraction) -> tuple[list, Fraction]:
         """The characteristic polynomial of the root a = n / d of the
         integral master product, on ints: the exact quotient q by
         d X - n, by synthetic division; H = sum q_k n^k d^(m-1-k), by a
         homogeneous Horner loop on q's coefficients as the division finds
-        them, top first; and coefficient k as q_k d^(m-1) / H, one
-        `Fraction` each (see `interp`)."""
+        them, top first; and coefficient k as q_k d^(m-1) / H, returned
+        as the ints q_k d^(m-1) and the one `Fraction` 1 / H (see
+        `interp`)."""
         n, d = a.numerator, a.denominator
         acc, h, power, descending = master[-1] // d, 0, 1, []
         for c in reversed(master[:-1]):
@@ -254,7 +263,7 @@ class RationalField:
             h, power = h * n + acc * power, power * d
             acc = (c + n * acc) // d  # after the last step, the remainder 0
         scale = power // d
-        return [Fraction(q * scale, h) for q in reversed(descending)]
+        return [q * scale for q in reversed(descending)], Fraction(1, h)
 
     def _rows(self, width: int, updates: int) -> "_ScaledRows":
         return _ScaledRows()
@@ -285,6 +294,7 @@ class PrimeField:
         self.p = p
         self.zero = 0
         self.one = 1 % p
+        self._forms = {}
 
     def coerce(self, value) -> int:
         if isinstance(value, float):
@@ -335,11 +345,12 @@ class PrimeField:
         """The product of `_times_linear`, which is monic and canonical."""
         return coeffs
 
-    def _characteristic(self, master: list, a: int) -> list:
+    def _characteristic(self, master: list, a: int) -> tuple[list, int]:
         """The characteristic polynomial of the root a of the monic
         master product: the quotient by X - a, by synthetic division,
-        scaled by the inverse of its value at a, by Horner's rule on the
-        quotient's coefficients as the division finds them, top first.
+        and the inverse of its value at a, by Horner's rule on the
+        quotient's coefficients as the division finds them, top first,
+        which scales it.
         Each step is normalized at once, because it feeds the next one:
         held raw, it would gain the bits of a whole field element per
         step."""
@@ -348,10 +359,15 @@ class PrimeField:
             descending.append(acc)
             denom = norm(acc + a * denom)
             acc = norm(c + a * acc)  # after the last step, the remainder 0
-        return self.vec_scale(self.inv(denom), descending[::-1])
+        return descending[::-1], self.inv(denom)
 
     def _rows(self, width: int, updates: int) -> "_PackedRows":
-        return _PackedRows(self, width, updates)
+        """The row form for `width` and `updates`, built once and kept:
+        the lift asks for one per corner, over few sizes."""
+        form = self._forms.get((width, updates))
+        if form is None:
+            form = self._forms[width, updates] = _PackedRows(self, width, updates)
+        return form
 
     def _raw(self) -> "_ResidueRaw":
         return _ResidueRaw(self)
@@ -407,10 +423,7 @@ class _PackedRows:
 
     def pack(self, values: list) -> int:
         """A row of canonical values, one per slot."""
-        row = 0
-        for v, s in zip(values, self.shifts):
-            row |= v << s
-        return row
+        return sum(map(lshift, values, self.shifts))
 
     def entry(self, row: int, j: int) -> int:
         return ((row >> self.shifts[j]) & self.mask) % self.p

@@ -5,12 +5,13 @@ values and a node a in T, chi(T, a) is the unique polynomial of degree
 #T - 1 with chi(T, a)(b) = 1 if b == a else 0 for b in T.  Vanishing
 polynomials: the monic polynomial of degree #V with root set exactly V.
 
-`vanishing_coeffs` and `char_poly_family` return dense coefficient lists,
-lowest degree first, which callers read directly; `univariate_vanishing`
-returns a polynomial in ambient dimension 1.  The tests check the family
-against `tests/reference.reference_char_poly`, which forms each
-characteristic polynomial as the product of its factors
-(X - b) / (a - b).
+`vanishing_coeffs` returns a dense coefficient list, lowest degree
+first, and `char_poly_family` returns for each node a a pair (q, s) of
+such a list and a scalar with chi(T, a) = s * q; callers read both
+directly.  `univariate_vanishing` returns a polynomial in ambient
+dimension 1.  The tests multiply s back in and check the family against
+`tests/reference.reference_char_poly`, which forms each characteristic
+polynomial as the product of its factors (X - b) / (a - b).
 
 Both lists come from the master product of the linear factors of the
 values, built once, and from one synthetic division of it per node.
@@ -20,8 +21,8 @@ division (`_characteristic`):
 
 - over F_p the factors are X - a, each coefficient is one expression
   in native arithmetic normalized once (delayed reduction), and the
-  characteristic polynomial of a is the quotient Q_a of the master
-  product by X - a, divided by its value Q_a(a);
+  characteristic polynomial of a is s_a * Q_a, for the quotient Q_a of
+  the master product by X - a and s_a = 1 / Q_a(a);
 - over the rationals each node clears its own denominator.  Write
   a = n / d in lowest terms.  The master product
   P = prod (d X - n) has integer coefficients and the lead D = prod d,
@@ -32,15 +33,20 @@ division (`_characteristic`):
   q_(m-1) = P_m // d_a and q_(k-1) = (P_k + n_a q_k) // d_a, where
   m = #values.  With H = d_a^(m-1) Q_a(a) = sum q_k n_a^k d_a^(m-1-k),
   found by a homogeneous Horner loop, coefficient k of chi(T, a) is
-  q_k d_a^(m-1) / H.  H is the product of the other factors at a,
-  times d_a^(m-1), so it is not 0.
+  q_k d_a^(m-1) / H: the list is the ints q_k d_a^(m-1) and the scale
+  is 1 / H.  H is the product of the other factors at a, times
+  d_a^(m-1), so it is not 0.
 
-Every loop over the rationals multiplies, adds and divides ints only,
-and each coefficient returned is one `Fraction`.  Clearing each node's
-own denominator keeps the ints near the sizes of the numerators and
-denominators that `Fraction` arithmetic carries; clearing one lcm L of
-all the denominators instead would scale coefficient k by L^k.  Every
-list returned holds canonical scalars.
+Every loop over the rationals multiplies, adds and divides ints only.
+Each coefficient `vanishing_coeffs` returns is one `Fraction`, and
+`char_poly_family` builds one `Fraction` per node, its scale, and none
+per coefficient: the lift (`core.build_phi`) adds the ints into its
+row form as they are.  Clearing each node's own denominator keeps the
+ints near the sizes of the numerators and denominators that `Fraction`
+arithmetic carries; clearing one lcm L of all the denominators instead
+would scale coefficient k by L^k.  Every coefficient `vanishing_coeffs`
+returns and every scale is a canonical scalar; the lists of
+`char_poly_family` are canonical over F_p and ints over the rationals.
 """
 
 from __future__ import annotations
@@ -82,9 +88,12 @@ def univariate_vanishing(field, values: Sequence) -> Polynomial:
 
 
 def char_poly_family(field, values: Sequence) -> dict:
-    """All characteristic polynomials over `values` at once, each as a
-    dense coefficient list of length #values, lowest degree first (the
-    form `vanishing_coeffs` returns), keyed by its node.
+    """All characteristic polynomials over `values` at once, keyed by
+    node: the pair (q, s) of a dense coefficient list q of length
+    #values, lowest degree first (the form `vanishing_coeffs` returns),
+    and a scalar s, with the characteristic polynomial s * q.  Over F_p
+    q is the quotient of the master product by the node's factor and s
+    the inverse of its value at the node.
 
     Builds the master product once and deflates it by each node's
     linear factor with synthetic division, which is quadratic overall
@@ -96,8 +105,8 @@ def char_poly_family(field, values: Sequence) -> dict:
     q_(k-1) = (P_k + n q_k) // d divides exactly, and coefficient k of
     the result is q_k d^(m-1) / H, with H = sum q_k n^k d^(m-1-k) from a
     homogeneous Horner loop and m = #values (see the module docstring).
-    Only ints enter the loops, and each coefficient becomes one
-    `Fraction`.
+    Only ints enter the loops: the list is the ints q_k d^(m-1), and
+    s = 1 / H is the node's one `Fraction`.
     """
     master = _master(field, values)
     return {a: field._characteristic(master, a) for a in values}

@@ -248,6 +248,24 @@ def reference_char_poly(field, values, node) -> Polynomial:
     return chi
 
 
+def scaled_back(field, entry) -> list:
+    """The dense coefficients, lowest degree first, of the
+    characteristic polynomial s * q that a `char_poly_family` entry
+    (q, s) stands for: s multiplied back into each q_k, normalized."""
+    q, s = entry
+    return [field.normalize(s * c) for c in q]
+
+
+def canonical_entry(field, entry) -> bool:
+    """A `char_poly_family` entry (q, s) has its output form: s is a
+    canonical scalar, and q is canonical over F_p and ints over the
+    rationals."""
+    q, s = entry
+    if field == QQ:
+        return is_canonical(field, s) and all(type(c) is int for c in q)
+    return all(is_canonical(field, c) for c in (s, *q))
+
+
 def reference_build_phi(field, beta, slice_gbs, stairs) -> Polynomial:
     """The lift with each slice representative formed in full with
     `reference_mul`, as the first slice element (lex-ascending) whose

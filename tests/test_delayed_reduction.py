@@ -10,6 +10,7 @@ compares stored values as they are, so an unreduced coefficient fails
 the comparisons.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -27,23 +28,27 @@ from pointideal import (
     bm_gb,
     char_poly_family,
     check_vanishing,
+    core,
     normal_form,
     poly,
     staircase_gb,
     verify_basis,
 )
 
+from pointideal.bench import SplitMix64
 from pointideal.cli import main
-from pointideal.io import basis_to_dict, pointset_to_dict
+from pointideal.io import basis_to_dict, canonical_dumps, pointset_to_dict
 from pointideal.poly import lex_key
 
 from reference import (
+    canonical_entry,
     evaluate,
     is_canonical,
     reference_char_poly,
     reference_check_vanishing,
     reference_mul,
     reference_normal_form,
+    scaled_back,
 )
 from strategies import monic_bases, polynomials, rationals
 
@@ -92,9 +97,11 @@ def test_the_family_matches_char_poly(drawn):
     family = char_poly_family(field, values)
     for a in values:
         chi = reference_char_poly(field, values, a)
-        assert len(family[a]) == len(values)
-        assert all(is_canonical(field, c) for c in family[a])
-        assert Polynomial(field, 1, {(k,): c for k, c in enumerate(family[a])}) == chi
+        coeffs = scaled_back(field, family[a])
+        assert len(family[a][0]) == len(values)
+        assert canonical_entry(field, family[a])
+        assert all(is_canonical(field, c) for c in coeffs)
+        assert Polynomial(field, 1, {(k,): c for k, c in enumerate(coeffs)}) == chi
         assert stored_canonical(chi)
         for b in values:
             assert evaluate(chi, (b,)) == (field.one if a == b else field.zero)
@@ -233,6 +240,46 @@ def test_engines_agree_on_wide_rational_denominators(ps):
     assert all(stored_canonical(f) for f in gb.elements)
 
 
+def wide2(seed: int, size: int) -> PointSet:
+    """`size` distinct points of QQ^2 drawn from SplitMix64(seed), X1
+    first: X1 = a/b with |a| <= 10^6 and b <= 10^6, X2 = a/b with
+    |a| <= 9 and b <= 4.  Nearly every point is a slice of its own, so
+    the lift at the corner X2 interpolates across all of them, with a
+    different denominator on every slice."""
+    rng = SplitMix64(seed)
+
+    def draw(bound, max_den):
+        return Fraction(rng.below(2 * bound + 1) - bound, rng.below(max_den) + 1)
+
+    points: set = set()
+    while len(points) < size:
+        x1 = draw(10**6, 10**6)
+        points.add((x1, draw(9, 4)))
+    return PointSet(QQ, 2, points)
+
+
+# sha256 of the `canonical_dumps` of each basis, from the engine that
+# summed the lift's columns in `Fraction` arithmetic
+WIDE2_SHA256 = {
+    (5, 12): "84c9604c2e4e0a209e17257b8c08f6c559c04b94aa31e167a7af50a9f8b05196",
+    (6, 16): "9e413350e7c623225c3be675d819ab042ea6d5db3f21f428c4c8336505718f19",
+    (7, 20): "c07b7a8fea13f2f229e78f39aeed56557d0041066ccb92f89c2e0252043901d0",
+}
+
+
+@pytest.mark.parametrize("seed, size", sorted(WIDE2_SHA256))
+def test_the_lift_keeps_its_bases_across_wide_denominators(seed, size):
+    """The lift's columns over one lcm denominator, which grows with
+    every slice's scale 1 / H, give the engine the oracle's basis, a
+    certified one, byte for byte the pinned one."""
+    ps = wide2(seed, size)
+    gb = staircase_gb(ps)
+    assert gb == bm_gb(ps)
+    assert verify_basis(gb, ps).overall
+    digest = hashlib.sha256(canonical_dumps(basis_to_dict(gb)).encode()).hexdigest()
+    assert digest == WIDE2_SHA256[seed, size]
+
+
 class CheckedField(PrimeField):
     """F_p that checks the delayed-reduction contract of `field`: every
     scalar handed to `inv`, to `format` or to a row kernel (`vec_scale`,
@@ -246,8 +293,8 @@ class CheckedField(PrimeField):
     ``+ - *`` cannot be checked on plain ints; what they build is
     checked where it is read, by `normalize` here and by the
     stored-coefficient check of `checked_fill`.  The slots are read in
-    the row form last built, by the echelon or by the vanishing check,
-    which `_rows` records."""
+    the row form last built, by the echelon, by the vanishing check or
+    by the lift, which `_rows` records."""
 
     def normalize(self, x):
         assert abs(x) < 2**12 * self.p**2, f"a raw value grew to {x.bit_length()} bits"
@@ -311,6 +358,35 @@ def test_raw_values_stay_bounded_and_only_canonical_ones_are_stored(ps):
         gb = staircase_gb(ps)
         assert verify_basis(gb, ps).overall
         assert gb == bm_gb(ps)
+
+
+def test_the_lift_sums_its_columns_through_the_checked_kernel():
+    """Every column update of the lift is a `vec_sub_scaled` call, so the
+    slot checks of `CheckedField` cover `build_phi` as well as the
+    echelon and the vanishing check."""
+    real_lift, real_update = core.build_phi, CheckedField.vec_sub_scaled
+    inside, updates = [], []
+
+    def lift(*args):
+        inside.append(args[1])
+        try:
+            return real_lift(*args)
+        finally:
+            inside.pop()
+
+    def update(self, row, c, other):
+        if inside:
+            updates.append(c)
+        return real_update(self, row, c, other)
+
+    ps = PointSet(CHECKED, 2, [(a, (b * b + 5 * a) % 7919) for a in range(5) for b in range(a + 2)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "build_phi", lift)
+        mp.setattr(CheckedField, "vec_sub_scaled", update)
+        gb = staircase_gb(ps)
+    assert len(updates) > 0
+    assert gb == bm_gb(ps)
+    assert verify_basis(gb, ps).overall
 
 
 @given(checked_pointsets(), st.data())

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from pointideal import Polynomial, QQ, char_poly_family, univariate_vanishing
 from pointideal.interp import vanishing_coeffs
 
-from reference import evaluate, is_canonical, poly_add, reference_char_poly, reference_mul
+from reference import (
+    canonical_entry,
+    evaluate,
+    is_canonical,
+    poly_add,
+    reference_char_poly,
+    reference_mul,
+    scaled_back,
+)
 from strategies import F13
 
 
@@ -40,8 +48,9 @@ wide_distinct_rationals = st.lists(
 
 
 def family_polys(field, values):
-    """`char_poly_family` as univariate polynomials, keyed by node."""
-    return {a: upoly(c, field) for a, c in char_poly_family(field, values).items()}
+    """`char_poly_family` as univariate polynomials s * q, keyed by node."""
+    family = char_poly_family(field, values)
+    return {a: upoly(scaled_back(field, entry), field) for a, entry in family.items()}
 
 
 class TestCharPoly:
@@ -86,27 +95,30 @@ class TestCharPoly:
         family = char_poly_family(QQ, values)
         assert set(family) == set(values)
         for a in values:
-            assert upoly(family[a], QQ) == reference_char_poly(QQ, values, a)
-            assert len(family[a]) == len(values)
+            assert upoly(scaled_back(QQ, family[a]), QQ) == reference_char_poly(QQ, values, a)
+            assert len(family[a][0]) == len(values)
 
     @given(wide_distinct_rationals)
     def test_family_agrees_on_wide_denominators(self, values):
-        """Each node's own denominator is cleared; the result is the
-        reference product, coefficient for coefficient, and every
-        coefficient is canonical."""
+        """Each node's own denominator is cleared; the entry (q, s) is ints
+        and one canonical scale, and s * q is the reference product,
+        coefficient for coefficient, with every coefficient canonical."""
         family = char_poly_family(QQ, values)
         assert list(family) == values
         for a in values:
-            assert len(family[a]) == len(values)
-            assert all(is_canonical(QQ, c) for c in family[a])
-            assert upoly(family[a]) == reference_char_poly(QQ, values, a)
+            coeffs = scaled_back(QQ, family[a])
+            assert len(family[a][0]) == len(values)
+            assert canonical_entry(QQ, family[a])
+            assert all(is_canonical(QQ, c) for c in coeffs)
+            assert upoly(coeffs) == reference_char_poly(QQ, values, a)
 
     @given(distinct_residues)
     def test_family_agrees_mod_p(self, values):
         family = char_poly_family(F13, values)
         for a in values:
-            assert upoly(family[a], F13) == reference_char_poly(F13, values, a)
-            assert len(family[a]) == len(values)
+            assert canonical_entry(F13, family[a])
+            assert upoly(scaled_back(F13, family[a]), F13) == reference_char_poly(F13, values, a)
+            assert len(family[a][0]) == len(values)
 
 
 class TestVanishing:
