@@ -267,17 +267,6 @@ def slice_representative(beta_hat: Exponent, slice_gb: GroebnerBasis) -> Polynom
     raise ValueError(f"{beta_hat} lies inside the staircase")
 
 
-def split_first_coordinates(beta: Exponent, slice_gbs) -> tuple[list, list]:
-    """Split the slice keys by whether the corner's projection lies in the
-    slice staircase.  For a corner, the first group has exactly beta[0]
-    keys."""
-    beta_hat = tuple(beta)[1:]
-    inside, outside = [], []
-    for a1, gb in slice_gbs:
-        (inside if beta_hat in gb.staircase else outside).append(a1)
-    return inside, outside
-
-
 def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial:
     """The interpolation-lifted element of the ideal for a corner beta.
 
@@ -288,7 +277,11 @@ def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial
     misses the projected corner, with the characteristic polynomials in
     X1 read as scaled dense coefficient lists; the lift is then
     multiplied once by the vanishing polynomial prod (X1 - a1) of the
-    remaining slices, whose staircase contains the projected corner.
+    remaining slices, the inside ones, whose staircase holds the
+    projected corner beta_hat.  There are exactly beta[0] of them: the
+    stack holds (k,) + beta_hat exactly when k is below the number of
+    inside slices, and the corner beta is the first such exponent
+    outside it.
 
     Why the lift is right, whichever slice representatives it reads (see
     `slice_representative`).  Before the product the lift is the sum over
@@ -336,17 +329,21 @@ def build_phi(field, beta: Exponent, slice_gbs, stairs: Staircase) -> Polynomial
     beta_hat = beta[1:]
     if beta not in stairs.corners():
         raise ValueError(f"{beta} is not a corner of the staircase")
-    inside, outside = split_first_coordinates(beta, slice_gbs)
-    gb_of = dict(slice_gbs)
-    chi = char_poly_family(field, outside)
+    inside, outside = [], []
+    for a1, gb in slice_gbs:
+        if beta_hat in gb.staircase:
+            inside.append(a1)
+        else:
+            outside.append((a1, gb))
+    chi = char_poly_family(field, [a1 for a1, _ in outside])
     m = len(outside)
     form = field._rows(m, m)
     norm, update, zeros = field.normalize, field.vec_sub_scaled, form.pack([field.zero] * m)
     columns: dict[Exponent, object] = {}
-    for a1 in outside:
+    for a1, gb in outside:
         q, s = chi[a1]
         q = form.pack(q)
-        for gamma_hat, coeff in slice_representative(beta_hat, gb_of[a1]).terms.items():
+        for gamma_hat, coeff in slice_representative(beta_hat, gb).terms.items():
             columns[gamma_hat] = update(columns.get(gamma_hat, zeros), norm(-coeff * s), q)
     theta_terms: dict[Exponent, object] = {(0,) + beta_hat: field.one}
     for gamma_hat in sorted(columns, key=lex_key, reverse=True):
@@ -454,7 +451,7 @@ def staircase_gb(ps: PointSet) -> GroebnerBasis:
     """
     fld = ps.field
     if not ps.points:
-        return GroebnerBasis(Staircase(ps.n), (Polynomial.one(fld, ps.n),))
+        return GroebnerBasis(Staircase(ps.n), (Polynomial(fld, ps.n, {(0,) * ps.n: fld.one}),))
     return _walk(
         ps,
         lambda values: GroebnerBasis(

@@ -45,8 +45,7 @@ term update.
 A field object supplies only what native operators cannot:
 
 - `normalize` and `inv`;
-- the row kernels `vec_scale`, which returns a canonical list, and
-  `vec_sub_scaled`, the one update of the row form below;
+- `vec_sub_scaled`, the one update of the row form below;
 - its raw form above (`_raw`) and its row form below (`_rows`);
 - the univariate kernels of `interp`, one node at a time:
   `_times_linear` multiplies the master product by a node's linear
@@ -61,7 +60,7 @@ A field object supplies only what native operators cannot:
   per coefficient, and `_characteristic` returns ints and the one
   ``Fraction`` s (`interp` gives the formulas);
 - `zero` and `one`, `coerce` (a Python value to a canonical scalar),
-  `parse` and `format` (text), and `is_negative` (the sign printed).
+  and `parse` and `format` (text).
 
 **The row form.**  A row is a list of values at `width` points, such as
 a monomial row (`poly.monomial_row`), and three jobs sum multiples of
@@ -218,12 +217,6 @@ class RationalField:
             raise ZeroDivisionError("zero has no inverse")
         return self.one / a
 
-    def is_negative(self, a) -> bool:
-        return a < 0
-
-    def vec_scale(self, c, row):
-        return [c * x for x in row]
-
     def vec_sub_scaled(self, row, c, other):
         """row - c * other on rows of the row form, where `other` lines up
         with the end of `row`, over the lcm of the row's denominator and
@@ -322,13 +315,6 @@ class PrimeField:
             raise ZeroDivisionError("zero has no inverse")
         return pow(a, -1, self.p)
 
-    def is_negative(self, a) -> bool:
-        return False
-
-    def vec_scale(self, c, row):
-        p = self.p
-        return [c * x % p for x in row]
-
     def vec_sub_scaled(self, row, c, other):
         """row - c * other on packed rows, one multiply-add (see the row
         form in the module docstring)."""
@@ -412,11 +398,10 @@ class _PackedRows:
     a row: a row is one int with a slot of `slot` bits per point (see the
     module docstring)."""
 
-    __slots__ = ("field", "p", "slot", "mask", "shifts")
+    __slots__ = ("p", "slot", "mask", "shifts")
 
     def __init__(self, field: PrimeField, width: int, updates: int):
-        p = field.p
-        self.field, self.p = field, p
+        self.p = p = field.p
         self.slot = ((p - 1) + updates * (p - 1) ** 2).bit_length() + 1
         self.mask = (1 << self.slot) - 1
         self.shifts = range(0, width * self.slot, self.slot)
@@ -436,7 +421,8 @@ class _PackedRows:
     def store(self, values: list, pivot: int, inv: int) -> int:
         """The stored row of reduced values with the given pivot, scaled
         by `inv` to 1 there: slots before the pivot are 0."""
-        return self.pack(self.field.vec_scale(inv, values[pivot:])) << self.shifts[pivot]
+        p = self.p
+        return self.pack([inv * v % p for v in values[pivot:]]) << self.shifts[pivot]
 
 
 class _ResidueRaw:

@@ -14,8 +14,8 @@ does the same in the field's raw form (`field._raw`), which serves the
 division only.
 Terms are stored with no zero coefficients and no duplicate exponents,
 ordered descending, so the leading term is always the first one.  The
-arithmetic is what the engines need: product, negation, S-polynomial
-and division.
+arithmetic is what the engines need: product, S-polynomial and
+division.
 
 Division by a monic basis (`normal_form`) is the one reduction loop of
 the package, shared by the staircase engine and the certificate.  It
@@ -131,18 +131,6 @@ class Polynomial:
         _fill(p, field, n, terms if ordered else _descending(field, terms))
         return p
 
-    @classmethod
-    def constant(cls, field, n: int, value) -> "Polynomial":
-        return cls(field, n, {(0,) * n: value})
-
-    @classmethod
-    def one(cls, field, n: int) -> "Polynomial":
-        return cls.constant(field, n, field.one)
-
-    @classmethod
-    def monomial(cls, field, n: int, exp: Exponent) -> "Polynomial":
-        return cls(field, n, {tuple(exp): field.one})
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -154,9 +142,6 @@ class Polynomial:
             raise ValueError("the zero polynomial has no leading term")
         return next(iter(self.terms))
 
-    def leading_coefficient(self):
-        return self.terms[self.leading_exponent()]
-
     def tail(self) -> "Polynomial":
         """The polynomial minus its leading term."""
         if not self.terms:
@@ -166,7 +151,7 @@ class Polynomial:
         return Polynomial._trusted(self.field, self.n, dict(it), ordered=True)
 
     def is_monic(self) -> bool:
-        return bool(self.terms) and self.leading_coefficient() == self.field.one
+        return bool(self.terms) and next(iter(self.terms.values())) == self.field.one
 
     # -- arithmetic --------------------------------------------------------
 
@@ -203,7 +188,7 @@ class Polynomial:
         mono = "*".join(
             f"X{i + 1}" if k == 1 else f"X{i + 1}^{k}" for i, k in enumerate(exp) if k
         )
-        neg = f.is_negative(coeff)
+        neg = coeff < 0  # never so for a canonical F_p residue
         mag = -coeff if neg else coeff
         body = f.format(mag) if not mono else (mono if mag == f.one else f"{f.format(mag)}*{mono}")
         if lead:

@@ -69,7 +69,7 @@ shape, S-pairs, dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from operator import lshift
 
@@ -83,9 +83,6 @@ class CheckResult:
     passed: bool | None
     witness: str | None = None
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "witness": self.witness}
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -96,7 +93,7 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def as_dict(self) -> dict:
-        return {"overall": self.overall, "checks": [c.as_dict() for c in self.checks]}
+        return {"overall": self.overall, "checks": [asdict(c) for c in self.checks]}
 
     def summary_lines(self) -> list[str]:
         lines = []

@@ -72,7 +72,7 @@ def evaluate(f: Polynomial, point):
 
 def variable(field, n: int, index: int) -> Polynomial:
     """X_index in n variables, with index in 1..n."""
-    return Polynomial.monomial(field, n, tuple(int(i == index - 1) for i in range(n)))
+    return Polynomial(field, n, {tuple(int(i == index - 1) for i in range(n)): field.one})
 
 
 def _combine(f: Polynomial, g: Polynomial, sign: int) -> Polynomial:
@@ -115,7 +115,7 @@ def reference_s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     lcm = exp_lcm(lf, lg)
 
     def shifted(h, lead):
-        mono = Polynomial.monomial(h.field, h.n, tuple(x - y for x, y in zip(lcm, lead)))
+        mono = Polynomial(h.field, h.n, {tuple(x - y for x, y in zip(lcm, lead)): h.field.one})
         return reference_mul(mono, h)
 
     return poly_sub(shifted(f, lf), shifted(g, lg))
@@ -239,7 +239,7 @@ def reference_char_poly(field, values, node) -> Polynomial:
     """prod (X - b) / (node - b) over the values b != node, one
     `reference_mul` per factor."""
     norm = field.normalize
-    chi = Polynomial.one(field, 1)
+    chi = Polynomial(field, 1, {(0,): field.one})
     for b in values:
         if b != node:
             inv = field.inv(norm(node - b))
@@ -296,7 +296,7 @@ def reference_build_phi(field, beta, slice_gbs, stairs) -> Polynomial:
     for a1 in outside:
         g = divisor_of[a1]
         shift = tuple(x - y for x, y in zip(beta_hat, g.leading_exponent()))
-        rep_tail = reference_mul(Polynomial.monomial(field, n - 1, shift), g).tail()
+        rep_tail = reference_mul(Polynomial(field, n - 1, {shift: field.one}), g).tail()
         for (k,), c in chi[a1].terms.items():
             for gamma_hat, coeff in rep_tail.terms.items():
                 e = (k,) + gamma_hat
@@ -308,5 +308,5 @@ def reference_build_phi(field, beta, slice_gbs, stairs) -> Polynomial:
     phi = Polynomial(field, n, theta_terms)
     x1 = variable(field, n, 1)
     for a1 in inside:
-        phi = reference_mul(phi, poly_sub(x1, Polynomial.constant(field, n, a1)))
+        phi = reference_mul(phi, poly_sub(x1, Polynomial(field, n, {(0,) * n: a1})))
     return phi

@@ -391,7 +391,7 @@ def test_bench_disagreement_exits_1_and_says_no(tmp_path, capsys, monkeypatch):
     def mutated_bm_gb(ps):
         gb = bm_gb(ps)
         f = gb.elements[-1]
-        changed = poly_add(f, Polynomial.one(f.field, f.n))
+        changed = poly_add(f, Polynomial(f.field, f.n, {(0,) * f.n: f.field.one}))
         return GroebnerBasis(gb.staircase, gb.elements[:-1] + (changed,))
 
     monkeypatch.setattr(bench, "bm_gb", mutated_bm_gb)

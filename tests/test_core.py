@@ -22,7 +22,6 @@ from pointideal import (
     staircase_gb,
 )
 from pointideal import core
-from pointideal.core import split_first_coordinates
 from pointideal.poly import lex_key
 
 from reference import (
@@ -151,7 +150,7 @@ class TestSliceRepresentative:
     def test_higher_exponent_vanishes_on_slice(self):
         gb = staircase_gb(PointSet(QQ, 1, [(1,), (4,)]))
         tail = slice_representative((3,), gb)
-        rep = poly_add(Polynomial.monomial(QQ, 1, (3,)), tail)
+        rep = poly_add(Polynomial(QQ, 1, {(3,): 1}), tail)
         assert rep.is_monic() and rep.leading_exponent() == (3,)
         for v in (F(1), F(4)):
             assert evaluate(rep, (v,)) == 0
@@ -174,8 +173,8 @@ class TestBuildPhi:
         )
         x1 = variable(QQ, 2, 1)
         x2 = variable(QQ, 2, 2)
-        one = Polynomial.one(QQ, 2)
-        three = Polynomial.constant(QQ, 2, F(3))
+        one = Polynomial(QQ, 2, {(0, 0): 1})
+        three = Polynomial(QQ, 2, {(0, 0): F(3)})
         assert phi == poly_sub(x1, one) * poly_sub(x1, three) * poly_sub(x2, three)
 
     def test_interpolated_corner(self, example_a_prime):
@@ -196,13 +195,16 @@ class TestBuildPhi:
         assert phi == expected
 
     def test_split_sizes_match_corner_coordinates(self, example_a_prime):
+        """The slices whose staircase holds the projected corner are the
+        inside ones, beta[0] of them (see `build_phi`)."""
         bases = slice_bases(example_a_prime)
-        inside, outside = split_first_coordinates((2, 1), bases)
-        assert inside == [F(1), F(3)]
-        assert outside == [F(2)]
-        inside, outside = split_first_coordinates((0, 2), bases)
-        assert inside == []
-        assert outside == [F(1), F(2), F(3)]
+
+        def split(corner):
+            inside = [a1 for a1, gb in bases if corner[1:] in gb.staircase]
+            return inside, [a1 for a1, _ in bases if a1 not in inside]
+
+        assert split((2, 1)) == ([F(1), F(3)], [F(2)])
+        assert split((0, 2)) == ([], [F(1), F(2), F(3)])
 
     def test_non_corner_rejected(self, example_a_prime):
         with pytest.raises(ValueError, match="corner"):
@@ -355,18 +357,18 @@ class TestStaircaseGb:
         )
         c = phi.terms[(2, 1)]
         assert c == F(-1, 2)
-        assert by_corner[(0, 2)] == poly_sub(phi, Polynomial.constant(QQ, 2, c) * by_corner[(2, 1)])
+        assert by_corner[(0, 2)] == poly_sub(phi, Polynomial(QQ, 2, {(0, 0): c}) * by_corner[(2, 1)])
 
     def test_single_point(self):
         gb = staircase_gb(PointSet(QQ, 3, [(2, 5, 7)]))
         x = lambda i: variable(QQ, 3, i)
-        c = lambda v: Polynomial.constant(QQ, 3, F(v))
+        c = lambda v: Polynomial(QQ, 3, {(0, 0, 0): F(v)})
         assert gb.elements == (poly_sub(x(1), c(2)), poly_sub(x(2), c(5)), poly_sub(x(3), c(7)))
 
     def test_empty(self):
         gb = staircase_gb(PointSet(QQ, 2, []))
         assert gb.quotient_dimension() == 0
-        assert gb.elements == (Polynomial.one(QQ, 2),)
+        assert gb.elements == (Polynomial(QQ, 2, {(0, 0): 1}),)
 
     def test_univariate(self):
         gb = staircase_gb(PointSet(QQ, 1, [(1,), (2,), (3,)]))
@@ -398,8 +400,7 @@ class TestStaircaseGb:
             return
         bases = slice_bases(ps)
         for corner in compute_staircase(ps).sorted_corners():
-            inside, _ = split_first_coordinates(corner, bases)
-            assert len(inside) == corner[0]
+            assert sum(corner[1:] in gb.staircase for _, gb in bases) == corner[0]
 
     @settings(max_examples=25, deadline=None)
     @given(polynomials(), polynomials())
@@ -408,7 +409,7 @@ class TestStaircaseGb:
         combo = poly_add(q1 * gb.elements[0], q2 * gb.elements[1])
         assert normal_form(combo, gb.elements).is_zero
         for cell in gb.staircase.cells:
-            mono = Polynomial.monomial(QQ, 2, cell)
+            mono = Polynomial(QQ, 2, {cell: 1})
             assert normal_form(mono, gb.elements) == mono
 
 

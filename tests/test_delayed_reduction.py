@@ -282,8 +282,8 @@ def test_the_lift_keeps_its_bases_across_wide_denominators(seed, size):
 
 class CheckedField(PrimeField):
     """F_p that checks the delayed-reduction contract of `field`: every
-    scalar handed to `inv`, to `format` or to a row kernel (`vec_scale`,
-    `vec_sub_scaled`) is canonical, every slot of a stored packed row
+    scalar handed to `inv`, to `format` or to the row kernel
+    `vec_sub_scaled` is canonical, every slot of a stored packed row
     handed to `vec_sub_scaled` holds a canonical value, every slot of
     the row it returns stays below 2^(slot - 1), the bound the slot
     width is sized for, with no bit above the last slot, and every raw
@@ -310,10 +310,6 @@ class CheckedField(PrimeField):
     def format(self, x):
         self._check(x)
         return super().format(x)
-
-    def vec_scale(self, c, row):
-        self._check(c, *row)
-        return super().vec_scale(c, row)
 
     def _rows(self, width, updates):
         self.form = super()._rows(width, updates)

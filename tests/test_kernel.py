@@ -81,7 +81,7 @@ def monic_pairs(draw):
     for _ in range(2):
         f = draw(polynomials(field, n, cap=3, max_terms=5))
         assume(not f.is_zero)
-        inv = field.inv(f.leading_coefficient())
+        inv = field.inv(f.terms[f.leading_exponent()])
         pair.append(Polynomial(field, n, {e: field.normalize(inv * c) for e, c in f.terms.items()}))
     return pair
 

@@ -27,7 +27,7 @@ def poly(terms, n=2, field=QQ):
 
 def x_power(k, n=2, field=QQ):
     exp = (k,) + (0,) * (n - 1)
-    return Polynomial.monomial(field, n, exp)
+    return Polynomial(field, n, {exp: field.one})
 
 
 @pytest.fixture
@@ -138,8 +138,8 @@ class TestNormalForm:
 
     def test_univariate_substitution(self):
         b = Polynomial(QQ, 1, {(1,): F(1), (0,): F(-3)})
-        sq = Polynomial.monomial(QQ, 1, (2,))
-        assert normal_form(sq, [b]) == Polynomial.constant(QQ, 1, F(9))
+        sq = Polynomial(QQ, 1, {(2,): 1})
+        assert normal_form(sq, [b]) == Polynomial(QQ, 1, {(0,): F(9)})
 
     def test_zero(self, basis_a):
         assert normal_form(Polynomial(QQ, 2), basis_a).is_zero
@@ -201,12 +201,15 @@ class TestDisplay:
         assert str(poly({(1, 0): -1, (0, 0): 1})) == "-X1 + 1"
 
     def test_prime_field_display(self):
+        """A canonical residue prints as it is, with no minus sign, also
+        where it stands for a negative integer."""
         f = Polynomial(F13, 2, {(0, 1): 12, (0, 0): 5})
         assert str(f) == "12*X2 + 5"
+        assert str(Polynomial(F7, 1, {(1,): 6, (0,): 1})) == "6*X1 + 1"
 
 
 def monic(f):
-    inv = f.field.inv(f.leading_coefficient())
+    inv = f.field.inv(f.terms[f.leading_exponent()])
     return Polynomial(f.field, f.n, {e: inv * c for e, c in f.terms.items()})
 
 
@@ -240,7 +243,7 @@ def test_monomial_row_is_the_monomial_at_each_point(drawn):
     field, points, exps = drawn
     shared = {}
     for e in exps:
-        mono = Polynomial.monomial(field, len(e), e)
+        mono = Polynomial(field, len(e), {e: field.one})
         expected = [evaluate(mono, pt) for pt in points]
         assert monomial_row(field, points, e, {}) == expected
         assert monomial_row(field, points, e, shared) == expected

@@ -85,11 +85,9 @@ FIELD = [
     "coerce",
     "format",
     "inv",
-    "is_negative",
     "normalize",
     "one",
     "parse",
-    "vec_scale",
     "vec_sub_scaled",
     "zero",
 ]
@@ -97,15 +95,11 @@ FIELD = [
 PUBLIC = {
     Polynomial: (
         [
-            "constant",
             "field",
             "is_monic",
             "is_zero",
-            "leading_coefficient",
             "leading_exponent",
-            "monomial",
             "n",
-            "one",
             "tail",
             "terms",
         ],

@@ -98,7 +98,7 @@ def reduced_basis(sympy, field, n, generators) -> list[Polynomial]:
             c = Fraction(int(c.p), int(c.q)) if field == QQ else int(c) % field.p
             terms[tuple(reversed(monom))] = c
         f = Polynomial(field, n, terms)
-        inv = field.inv(f.leading_coefficient())
+        inv = field.inv(f.terms[f.leading_exponent()])
         basis.append(Polynomial(field, n, {e: inv * c for e, c in f.terms.items()}))
     return sorted(basis, key=lambda f: lex_key(f.leading_exponent()))
 
